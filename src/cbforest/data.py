@@ -72,7 +72,6 @@ class SparseDataset:
         self.row_ids = list(row_ids) if row_ids is not None else None
         self._csr = None
         self._csc = None
-        self._ones_csr = None
         self._validate()
 
     def _validate(self):
@@ -132,14 +131,6 @@ class SparseDataset:
         if self._csc is None:
             self._csc = self.to_csr().tocsc()
         return self._csc
-
-    def ones_csr(self):
-        """Presence-indicator matrix: same pattern, all stored values 1."""
-        if self._ones_csr is None:
-            self._ones_csr = sparse.csr_matrix(
-                (np.ones_like(self.values), self.indices, self.indptr),
-                shape=(self.n_rows, self.n_cols))
-        return self._ones_csr
 
     def subset(self, rows):
         rows = np.asarray(rows, dtype=np.int64)

@@ -3,9 +3,10 @@ quadratic losses, early stopping on a pluggable larger-is-better metric.
 
 Trees use second-order (Newton) boosting with the regularized split gain
     1/2 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma
-and exact greedy enumeration over present feature values. Rows where the
-split feature is absent follow a per-split default direction learned as the
-side maximizing gain.
+and exact enumeration over each feature's distinct present values, done on
+per-node histograms of the binned training values. Rows where the split
+feature is absent follow a per-split default direction learned as the side
+maximizing gain.
 """
 from __future__ import annotations
 
@@ -129,25 +130,28 @@ def grad_hess(loss, y, raw):
 
 
 class _TrainMatrix:
-    """Column-oriented training view with per-column constancy flags."""
+    """Training view: columns for routing and linear sweeps, bins for splits.
+
+    Every stored value gets a bin id. Bins number the distinct (feature,
+    value) pairs of the stored values in feature order, then value order, so
+    each feature's bins form one ascending run. A stored 0.0 is a present
+    value like any other.
+    """
 
     def __init__(self, dataset: SparseDataset):
         self.n_rows = dataset.n_rows
         self.n_cols = dataset.n_cols
         self.csc = dataset.to_csc()
-        self.ones_csr = dataset.ones_csr()
-        csr = dataset.to_csr()
-        self.sq_csr = csr.multiply(csr).tocsr()
-        self.col_const = np.zeros(self.n_cols, dtype=bool)
-        self.col_const_value = np.zeros(self.n_cols)
-        indptr, data = self.csc.indptr, self.csc.data
-        for j in range(self.n_cols):
-            s, e = indptr[j], indptr[j + 1]
-            if e > s:
-                vals = data[s:e]
-                if vals.min() == vals.max():
-                    self.col_const[j] = True
-                    self.col_const_value[j] = vals[0]
+        self.indptr = dataset.indptr
+        order = np.lexsort((dataset.values, dataset.indices))
+        feat = dataset.indices[order]
+        vals = dataset.values[order]
+        new_bin = np.ones(len(order), dtype=bool)
+        new_bin[1:] = (feat[1:] != feat[:-1]) | (vals[1:] != vals[:-1])
+        self.bin_of = np.empty(len(order), dtype=np.int64)
+        self.bin_of[order] = np.cumsum(new_bin) - 1
+        self.bin_feature = feat[new_bin]
+        self.bin_value = vals[new_bin]
 
     def col(self, j):
         s, e = self.csc.indptr[j], self.csc.indptr[j + 1]
@@ -164,14 +168,14 @@ def _leaf_weight(G, H, params):
     return float(w)
 
 
-def _gain(GL, HL, GR, HR, lam):
-    G, H = GL + GR, HL + HR
-    return 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
-                  - G * G / (H + lam))
-
-
-def _find_best_split(rows, in_node, g, h, G, H, feat_mask, tm, params):
+def _find_best_split(rows, g, h, G, H, feat_mask, tm, params):
     """Best (gain, feature, split_value, default_left) over allowed features.
+
+    G, H and count are summed per bin over the node's stored values, in row
+    order. Each allowed feature present in the node offers these candidates:
+    present-right/absent-left at its smallest present value, if some node
+    rows lack the feature; and at each midpoint between adjacent present
+    values, absent rows on the left and, if some rows lack it, on the right.
 
     Returns None when no split has positive gain. Ties resolve to the lowest
     feature index, then lowest split value, then default-left.
@@ -179,84 +183,65 @@ def _find_best_split(rows, in_node, g, h, G, H, feat_mask, tm, params):
     lam = params.reg_lambda
     mcw = params.min_child_weight
     gamma = params.gamma
-    g_rows, h_rows = g[rows], h[rows]
-    sub = tm.ones_csr[rows]
-    Gp = sub.T.dot(g_rows)
-    Hp = sub.T.dot(h_rows)
-    cnt = np.asarray(sub.sum(axis=0)).ravel()
-    Gm, Hm = G - Gp, H - Hp
-    cntm = len(rows) - cnt
+    starts = tm.indptr[rows]
+    lens = tm.indptr[rows + 1] - starts
+    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
+                                            lens)
+    bins = tm.bin_of[pos]
+    n_bins = len(tm.bin_feature)
+    Gb = np.bincount(bins, weights=np.repeat(g[rows], lens), minlength=n_bins)
+    Hb = np.bincount(bins, weights=np.repeat(h[rows], lens), minlength=n_bins)
+    Cb = np.bincount(bins, minlength=n_bins)
 
-    best = None  # (gain, feature, split_value, default_left)
-
-    # constant-valued columns: the only split separates present from absent
-    fast = tm.col_const & feat_mask & (cnt > 0) & (cntm > 0)
-    if fast.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = (0.5 * (Gm * Gm / (Hm + lam) + Gp * Gp / (Hp + lam)
-                            - G * G / (H + lam)) - gamma)
-        ok = fast & (Hm >= mcw) & (Hp >= mcw) & (gains > 0)
-        if ok.any():
-            gains = np.where(ok, gains, -np.inf)
-            j = int(np.argmax(gains))
-            best = (float(gains[j]), j, float(tm.col_const_value[j]), True)
-
-    # non-constant columns: exact greedy over sorted present values
-    slow = np.flatnonzero(~tm.col_const & feat_mask & (cnt > 0))
-    for j in slow:
-        cr, cv = tm.col(j)
-        m = in_node[cr]
-        vals = cv[m]
-        gj = g[cr[m]]
-        hj = h[cr[m]]
-        cand = _best_split_sorted(vals, gj, hj, G, H, len(rows), params)
-        if cand is not None:
-            gain, split_value, default_left = cand
-            if best is None or gain > best[0]:
-                best = (gain, int(j), split_value, default_left)
-    return best
-
-
-def _best_split_sorted(vals, gj, hj, G, H, n_node, params):
-    """Best split for one feature given its present values within the node."""
-    lam, mcw, gamma = params.reg_lambda, params.min_child_weight, params.gamma
-    Gp, Hp = gj.sum(), hj.sum()
-    Gm, Hm = G - Gp, H - Hp
-    n_miss = n_node - len(vals)
-    candidates = []  # (threshold, GL, HL, default_left) in ascending threshold
-
-    if vals.min() == vals.max():
-        if n_miss > 0:
-            candidates.append((float(vals[0]), Gm, Hm, True))
-    else:
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        cg = np.cumsum(gj[order])
-        ch = np.cumsum(hj[order])
-        bounds = np.flatnonzero(np.diff(v) != 0)
-        thresholds = (v[bounds] + v[bounds + 1]) / 2.0
-        if n_miss > 0:
-            candidates.append((float(v[0]), Gm, Hm, True))
-        for t, b in zip(thresholds, bounds):
-            GLp, HLp = cg[b], ch[b]
-            # absent rows on the left, then on the right
-            candidates.append((float(t), GLp + Gm, HLp + Hm, True))
-            if n_miss > 0:
-                candidates.append((float(t), GLp, HLp, False))
-
-    best = None
-    for t, GL, HL, default_left in candidates:
-        GR, HR = G - GL, H - HL
-        if HL < mcw or HR < mcw:
-            continue
-        gain = _gain(GL, HL, GR, HR, lam) - gamma
-        if gain <= 0:
-            continue
-        if best is None or gain > best[0]:
-            best = (gain, t, default_left)
-    if best is None:
+    b = np.flatnonzero((Cb > 0) & feat_mask[tm.bin_feature])
+    if b.size == 0:
         return None
-    return float(best[0]), float(best[1]), best[2]
+    feat, vals, Gb, Hb = tm.bin_feature[b], tm.bin_value[b], Gb[b], Hb[b]
+    is_first = np.ones(len(b), dtype=bool)
+    is_first[1:] = feat[1:] != feat[:-1]
+    first = np.flatnonzero(is_first)
+    # reduceat returns a lone bin's sum unchanged, so a feature with one
+    # present value in the node keeps its row-order sums bit for bit
+    Gp = np.add.reduceat(Gb, first)
+    Hp = np.add.reduceat(Hb, first)
+    missing = np.add.reduceat(Cb[b], first) < len(rows)
+    Gm, Hm = G - Gp, H - Hp
+
+    a = np.flatnonzero(missing)
+    # bins followed by another bin of the same feature; s is their feature slot
+    m = np.flatnonzero(~is_first[1:])
+    s = (np.cumsum(is_first) - 1)[m]
+    cg = np.zeros(len(b) + 1)
+    ch = np.zeros(len(b) + 1)
+    np.cumsum(Gb, out=cg[1:])
+    np.cumsum(Hb, out=ch[1:])
+    GLp = cg[m + 1] - cg[first[s]]
+    HLp = ch[m + 1] - ch[first[s]]
+    right = missing[s]
+    GLm, HLm = GLp + Gm[s], HLp + Hm[s]
+
+    # candidates: present-right/absent-left, then midpoints with absent rows
+    # left, then midpoints with absent rows right
+    lo = np.concatenate([first[a], m, m[right]])
+    kind = np.repeat([0, 1, 2], [len(a), len(m), int(right.sum())])
+    GL = np.concatenate([Gm[a], GLm, GLp[right]])
+    HL = np.concatenate([Hm[a], HLm, HLp[right]])
+    GR = np.concatenate([Gp[a], G - GLm, G - GLp[right]])
+    HR = np.concatenate([Hp[a], H - HLm, H - HLp[right]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
+                        - G * G / (H + lam)) - gamma)
+    ok = (HL >= mcw) & (HR >= mcw) & (gains > 0)
+    if not ok.any():
+        return None
+    best = gains[ok].max()
+    # bins ascend by (feature, value), so 3 * lo + kind orders candidates by
+    # feature, then threshold, then default-left
+    tied = np.flatnonzero(ok & (gains == best))
+    i = tied[np.argmin(3 * lo[tied] + kind[tied])]
+    j = lo[i]
+    split_value = vals[j] if kind[i] == 0 else (vals[j] + vals[j + 1]) / 2.0
+    return float(best), int(feat[j]), float(split_value), bool(kind[i] != 2)
 
 
 def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionTree:
@@ -285,7 +270,6 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
             mask[tree_feats] = True
         level_masks.append(mask)
 
-    in_node = np.zeros(n, dtype=bool)
     side = np.empty(n, dtype=bool)
 
     def leaf(G, H, depth):
@@ -299,10 +283,8 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
         H = float(h[node_rows].sum())
         if depth >= params.max_depth or len(node_rows) < 2:
             return leaf(G, H, depth)
-        in_node[node_rows] = True
-        best = _find_best_split(node_rows, in_node, g, h, G, H,
-                                level_masks[depth], tm, params)
-        in_node[node_rows] = False
+        best = _find_best_split(node_rows, g, h, G, H, level_masks[depth],
+                                tm, params)
         if best is None:
             return leaf(G, H, depth)
         _, j, split_value, default_left = best

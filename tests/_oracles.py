@@ -1,8 +1,8 @@
-"""Independent from-definition metric oracles used by the test suite.
+"""Independent from-definition oracles used by the test suite.
 
 Everything here is written with plain Python loops straight from the metric
-definitions, deliberately sharing no code (and no vectorized shortcuts)
-with the package implementation. The tie rule for the rank-based
+and split-gain definitions, deliberately sharing no code (and no vectorized
+shortcuts) with the package implementation. The tie rule for the rank-based
 early-retrieval metrics — a stable shuffle seeded with 902119 before the
 descending sort — is part of the documented metric contract and is
 re-derived here independently.
@@ -135,3 +135,83 @@ def random_instance(rng, n_max=200, tie_prob=0.3):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def exact_greedy_tree_oracle(rows, g, h, node_rows, level_features, max_depth,
+                             reg_lambda=1.0, gamma=0.0, min_child_weight=1.0,
+                             max_delta_step=0.0):
+    """Exact greedy Newton tree by brute-force enumeration.
+
+    `rows` holds one {feature: value} dict of present values per row;
+    `level_features[d]` lists the features allowed at depth d. Each
+    candidate is scored by routing every node row through it: a present
+    value goes left when below the threshold, an absent one follows the
+    default direction. Candidates per feature, in tie order: present-right/
+    absent-left at the smallest present value (if some row lacks the
+    feature), then at each midpoint between adjacent distinct present values
+    absent-left and (if some row lacks the feature) absent-right. The first
+    candidate with the largest positive gain wins, scanning features in
+    ascending order. Plain arithmetic throughout, so exact rationals work.
+
+    Returns ("leaf", weight) or ("split", feature, threshold, default_left,
+    left, right).
+    """
+    lam = reg_lambda
+
+    def leaf(node, depth):
+        if depth == 0:
+            return ("leaf", 0.0)
+        G = sum(g[i] for i in node)
+        H = sum(h[i] for i in node)
+        if H + lam <= 0:
+            return ("leaf", 0.0)
+        w = -G / (H + lam)
+        if max_delta_step > 0:
+            w = min(max(w, -max_delta_step), max_delta_step)
+        return ("leaf", w)
+
+    def goes_left(i, feature, threshold, default_left):
+        if feature in rows[i]:
+            return rows[i][feature] < threshold
+        return default_left
+
+    def grow(node, depth):
+        if depth >= max_depth or len(node) < 2:
+            return leaf(node, depth)
+        best = None  # (gain, feature, threshold, default_left)
+        for feature in sorted(level_features[depth]):
+            present = sorted({rows[i][feature] for i in node if feature in rows[i]})
+            if not present:
+                continue
+            any_absent = any(feature not in rows[i] for i in node)
+            candidates = []
+            if any_absent:
+                candidates.append((present[0], True))
+            for a, b in zip(present, present[1:]):
+                candidates.append(((a + b) / 2, True))
+                if any_absent:
+                    candidates.append(((a + b) / 2, False))
+            for threshold, default_left in candidates:
+                GL = HL = GR = HR = 0
+                for i in node:
+                    if goes_left(i, feature, threshold, default_left):
+                        GL += g[i]
+                        HL += h[i]
+                    else:
+                        GR += g[i]
+                        HR += h[i]
+                if HL < min_child_weight or HR < min_child_weight:
+                    continue
+                gain = (GL * GL / (HL + lam) + GR * GR / (HR + lam)
+                        - (GL + GR) * (GL + GR) / (HL + HR + lam)) / 2 - gamma
+                if gain > 0 and (best is None or gain > best[0]):
+                    best = (gain, feature, threshold, default_left)
+        if best is None:
+            return leaf(node, depth)
+        _, feature, threshold, default_left = best
+        left = [i for i in node if goes_left(i, feature, threshold, default_left)]
+        right = [i for i in node if not goes_left(i, feature, threshold, default_left)]
+        return ("split", feature, threshold, default_left,
+                grow(left, depth + 1), grow(right, depth + 1))
+
+    return grow(list(node_rows), 0)

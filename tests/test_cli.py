@@ -1,6 +1,7 @@
 """CLI surface, run-config schema, and archive persistence tests."""
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,18 @@ def test_train_writes_all_artifacts(cli_train):
     for name in ("model.cbf", "cv_scores.tsv", "metrics.tsv",
                  "reliability.tsv"):
         assert (out / name).exists(), name
+
+
+def test_readme_names_the_artifacts_train_writes(cli_train):
+    _, out, _ = cli_train
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Artifacts land in `output_dir`:", 1)[1]
+    listed = listed.split("\n\n", 1)[0]
+    written = {p.name for p in out.iterdir()} - {"config.json"}
+    assert set(re.findall(r"`([\w.]+\.\w+)`", listed)) == written
+    predict_models = re.findall(r"--model out/(\S+)", readme)
+    assert predict_models
+    assert set(predict_models) <= written
 
 
 def test_train_report_shapes(cli_train):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cbforest.data import LabelMapping, SparseDataset
+from _oracles import exact_greedy_tree_oracle
+from cbforest.data import LabelMapping, SparseDataset, load_svmlight
 from cbforest.gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, GbmModel,
                           LinearHyperParams, TrainingError, TreeHyperParams,
                           build_linear_delta, build_tree, grad_hess,
@@ -157,6 +158,157 @@ def test_build_tree_non_binary_feature_values():
     root = tree.root
     assert 0.2 < root.split_value <= 0.9
     assert sorted(_leaves(tree)) == [-1.0, 1.0]
+
+
+def test_build_tree_tie_prefers_lowest_feature():
+    # both features separate rows {0, 1} from {2, 3} with gain 2; feature 1
+    # holds one value everywhere, feature 0 two values
+    ds = SparseDataset.from_rows([[(0, 1.0), (1, 1.0)], [(0, 2.0), (1, 1.0)],
+                                  [], []], n_cols=2)
+    tree = build_tree(np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), ds,
+                      TreeHyperParams(reg_lambda=0.0, max_depth=1),
+                      np.random.default_rng(0))
+    root = tree.root
+    assert (root.feature, root.split_value, root.default_left) == (0, 1.0, True)
+    assert (root.left.leaf_value, root.right.leaf_value) == (-1.0, 1.0)
+
+
+def _nested(node):
+    if node.is_leaf:
+        return ("leaf", node.leaf_value)
+    return ("split", node.feature, node.split_value, node.default_left,
+            _nested(node.left), _nested(node.right))
+
+
+def _level_features(seed, n_cols, params):
+    """Allowed features per depth, drawn in build_tree's documented order."""
+    rng = np.random.default_rng(seed)
+    if params.colsample_bytree < 1.0:
+        k = max(1, int(round(params.colsample_bytree * n_cols)))
+        tree_feats = np.sort(rng.choice(n_cols, size=k, replace=False))
+    else:
+        tree_feats = np.arange(n_cols)
+    levels = []
+    for _ in range(params.max_depth):
+        if params.colsample_bylevel < 1.0:
+            k = max(1, int(round(params.colsample_bylevel * len(tree_feats))))
+            levels.append(rng.choice(tree_feats, size=k, replace=False).tolist())
+        else:
+            levels.append(tree_feats.tolist())
+    return levels
+
+
+COLUMN_VALUES = {
+    "binary": [1.0],
+    "count": [1.0, 2.0, 3.0, 4.0, 5.0],
+    "negative": [-2.0, -0.5, 0.0, 1.5],
+}
+
+
+def _random_tree_case(r):
+    n = int(r.integers(2, 40))
+    p = int(r.integers(1, 7))
+    kind = str(r.choice(["binary", "count", "negative", "mixed"]))
+    col_kinds = (r.choice(list(COLUMN_VALUES), size=p) if kind == "mixed"
+                 else [kind] * p)
+    density = float(r.choice([0.2, 0.5, 0.9]))
+    rows = [[(j, float(r.choice(COLUMN_VALUES[col_kinds[j]])))
+             for j in range(p) if r.random() < density] for _ in range(n)]
+    # integer-valued g/h keep every sum exact, so ties are true ties
+    g = r.integers(-3, 4, size=n).astype(float)
+    h = r.integers(1, 4, size=n).astype(float)
+    params = TreeHyperParams(
+        max_depth=int(r.integers(1, 5)),
+        reg_lambda=float(r.choice([0.0, 1.0, 2.0])),
+        gamma=float(r.choice([0.0, 0.5, 2.0])),
+        min_child_weight=float(r.choice([0.0, 1.0, 3.0])),
+        colsample_bytree=float(r.choice([1.0, 0.7])),
+        colsample_bylevel=float(r.choice([1.0, 0.5])))
+    subset = (np.sort(r.choice(n, size=max(2, int(0.7 * n)), replace=False))
+              if r.random() < 0.4 else None)
+    return rows, p, g, h, params, subset
+
+
+def test_build_tree_matches_exact_greedy_oracle():
+    r = np.random.default_rng(20171005)
+    splits = 0
+    for case in range(300):
+        rows, p, g, h, params, subset = _random_tree_case(r)
+        ds = SparseDataset.from_rows(rows, n_cols=p)
+        tree = build_tree(g, h, ds, params, np.random.default_rng(case),
+                          rows=subset)
+        expected = exact_greedy_tree_oracle(
+            [dict(pairs) for pairs in rows], g.tolist(), h.tolist(),
+            range(len(rows)) if subset is None else subset.tolist(),
+            _level_features(case, p, params), params.max_depth,
+            reg_lambda=params.reg_lambda, gamma=params.gamma,
+            min_child_weight=params.min_child_weight)
+        assert _nested(tree.root) == expected, f"case {case}"
+        splits += tree.n_leaves() - 1
+    assert splits > 300
+
+
+def test_build_tree_rows_without_values():
+    empty = SparseDataset.from_rows([[], [], []], n_cols=2)
+    tree = build_tree(np.array([-1.0, 1.0, 2.0]), np.ones(3), empty,
+                      TreeHyperParams(reg_lambda=0.0, max_depth=2),
+                      np.random.default_rng(0))
+    assert tree.n_leaves() == 1 and _leaves(tree) == [0.0]
+
+    # rows 2 and 4 store nothing: they take the learned default direction
+    ds = SparseDataset.from_rows([[(0, 1.0)], [(0, 3.0)], [], [(0, 3.0)], []],
+                                 n_cols=1)
+    g = np.array([-2.0, 2.0, -2.0, 2.0, -2.0])
+    tree = build_tree(g, np.ones(5), ds,
+                      TreeHyperParams(reg_lambda=0.0, max_depth=1),
+                      np.random.default_rng(0))
+    root = tree.root
+    assert (root.feature, root.split_value, root.default_left) == (0, 2.0, True)
+    model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=0.0,
+                     learning_rate=1.0, learners=[tree], optimal_round=1,
+                     training_log=[], n_cols=1)
+    assert np.array_equal(predict_gbm(model, ds), [2.0, -2.0, 2.0, -2.0, 2.0])
+
+
+def test_build_tree_stored_zero_is_present(tmp_path):
+    # SVMLight `0:0` stores an explicit zero; it is a present value
+    path = tmp_path / "zeros.svm"
+    path.write_text("1 0:0\n1 0:0\n0\n0\n")
+    ds = load_svmlight(path, "binary")
+    assert ds.values.tolist() == [0.0, 0.0]
+    tree = build_tree(np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), ds,
+                      TreeHyperParams(reg_lambda=0.0, max_depth=1),
+                      np.random.default_rng(0))
+    root = tree.root
+    assert (root.feature, root.split_value, root.default_left) == (0, 0.0, True)
+    model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=0.0,
+                     learning_rate=1.0, learners=[tree], optimal_round=1,
+                     training_log=[], n_cols=1)
+    assert np.array_equal(predict_gbm(model, ds), [1.0, 1.0, -1.0, -1.0])
+
+
+def test_build_tree_never_splits_on_feature_without_values():
+    # feature 0 is present in every row (no absent side), feature 1 nowhere
+    ds = SparseDataset.from_rows([[(0, 1.0)]] * 4, n_cols=2)
+    tree = build_tree(np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), ds,
+                      TreeHyperParams(reg_lambda=0.0, min_child_weight=0.0),
+                      np.random.default_rng(0))
+    assert tree.n_leaves() == 1
+
+    g_rng = np.random.default_rng(12)
+    X = (g_rng.random((60, 3)) < 0.4) * g_rng.integers(1, 4, size=(60, 3))
+    X[:, 1] = 0
+    ds = dataset_from_dense(X.astype(float))
+    tree = build_tree(g_rng.normal(size=60), np.full(60, 0.25), ds,
+                      TreeHyperParams(max_depth=4, min_child_weight=0.0),
+                      np.random.default_rng(1))
+    stack, used = [tree.root], set()
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            used.add(node.feature)
+            stack.extend((node.left, node.right))
+    assert used and 1 not in used
 
 
 # ------------------------------------------------------ build_linear_delta
