@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,9 +13,8 @@ from .config import ConfigError, RunConfig
 from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
                    binarize, load_csv, load_svmlight, stratified_kfold)
 from .elastic_net import ElasticNetModel, ElasticNetParams, fit_elastic_net, predict_proba
-from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, GbmModel,
-                  LinearHyperParams, TrainingError, TreeHyperParams,
-                  predict_gbm, train_gbm)
+from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
+                  TrainingError, TreeHyperParams, predict_gbm, train_gbm)
 from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 
 # Sampling ranges for the randomized hyper-parameter draws. Encodings:
@@ -321,7 +320,16 @@ def layer1_cv(bundle: Layer1Bundle, folds: FoldAssignment, binary_labels,
 
 @dataclass
 class CbfModel:
-    """Trained two-layer bundle with everything needed to predict."""
+    """Trained two-layer bundle with everything needed to predict.
+
+    A model read back by `load_archive` holds only what `predict_cbf`
+    reads; its training-only fields are None. These are `folds`,
+    `label_mapping`, `H` and `seed`; each bundle's `samples` and
+    `oof_columns`; the layer-2 `candidates`, `cv` and `selected_index`, and
+    whichever of `fold_models` and `refit_model` prediction does not use;
+    and each layer-2 model's `converged`, `n_iter` and
+    `single_class_warning`. Its base models are cut by `export_gbm`.
+    """
 
     bundles: list                 # Layer1Bundle, binary-label bundle first
     layer2: Layer2Selection

@@ -10,7 +10,8 @@ maximizing gain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -107,6 +108,14 @@ class LinearDelta:
 
 @dataclass
 class GbmModel:
+    """A boosted model: base score plus `learning_rate` times its learners.
+
+    `train_gbm` keeps every round trained and its training log. A model cut
+    by `export_gbm` (and so one read back from an archive) holds only what
+    `predict_gbm` reads at the optimal round: `optimal_round` equals its
+    learner count and `training_log` is None.
+    """
+
     booster: str
     loss: str
     base_score: float
@@ -130,7 +139,7 @@ def grad_hess(loss, y, raw):
 
 
 class _TrainMatrix:
-    """Training view: columns for routing and linear sweeps, bins for splits.
+    """Training view for trees: columns for routing, bins for splits.
 
     Every stored value gets a bin id. Bins number the distinct (feature,
     value) pairs of the stored values in feature order, then value order, so
@@ -305,7 +314,7 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
     return DecisionTree(grow(np.asarray(rows, dtype=np.int64), 0))
 
 
-def build_linear_delta(g, h, data, params: LinearHyperParams,
+def build_linear_delta(g, h, data: SparseDataset, params: LinearHyperParams,
                        current_bias=0.0, current_weights=None) -> LinearDelta:
     """One coordinate-descent sweep on the second-order loss approximation.
 
@@ -314,12 +323,12 @@ def build_linear_delta(g, h, data, params: LinearHyperParams,
     with the running raw-score delta kept consistent within the sweep. The
     bias uses lambda_bias and carries no L1 term.
     """
-    tm = data if isinstance(data, _TrainMatrix) else _TrainMatrix(data)
+    csc = data.to_csc()
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if current_weights is None:
-        current_weights = np.zeros(tm.n_cols)
-    s = np.zeros(tm.n_rows)  # raw-score delta accumulated during the sweep
+        current_weights = np.zeros(data.n_cols)
+    s = np.zeros(data.n_rows)  # raw-score delta accumulated during the sweep
 
     Gb, Hb = g.sum(), h.sum()
     denom = Hb + params.reg_lambda_bias
@@ -328,9 +337,10 @@ def build_linear_delta(g, h, data, params: LinearHyperParams,
     if db != 0.0:
         s += db
 
-    dw = np.zeros(tm.n_cols)
-    for j in range(tm.n_cols):
-        cr, cv = tm.col(j)
+    dw = np.zeros(data.n_cols)
+    for j in range(data.n_cols):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        cr, cv = csc.indices[lo:hi], csc.data[lo:hi]
         if len(cr) == 0:
             continue
         Gj = float(cv @ (g[cr] + h[cr] * s[cr]))
@@ -346,6 +356,12 @@ def build_linear_delta(g, h, data, params: LinearHyperParams,
             s[cr] += d * cv
             dw[j] = d
     return LinearDelta(bias=float(db), weights=dw)
+
+
+def _summed_delta(deltas) -> LinearDelta:
+    """The one linear delta that predicts like the given deltas together."""
+    return LinearDelta(bias=sum(d.bias for d in deltas),
+                       weights=np.sum([d.weights for d in deltas], axis=0))
 
 
 class _PredictCache:
@@ -430,7 +446,7 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
     valid_mlab = _metric_labels(valid, loss, label_mapping)
 
     rng = np.random.default_rng(seed)
-    tm = _TrainMatrix(train)
+    tm = _TrainMatrix(train) if booster == GBTREE else None
     train_cache = _PredictCache(train)
     valid_cache = _PredictCache(valid)
     raw_tr = np.full(train.n_rows, base)
@@ -462,7 +478,7 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
             out_tr = predict_tree(learner, train_cache)
             out_va = predict_tree(learner, valid_cache)
         else:
-            learner = build_linear_delta(g, h, tm, params, cum_b, cum_w)
+            learner = build_linear_delta(g, h, train, params, cum_b, cum_w)
             out_tr = learner.bias + train.to_csr().dot(learner.weights)
             out_va = learner.bias + valid.to_csr().dot(learner.weights)
             cum_b += lr * learner.bias
@@ -494,16 +510,29 @@ def predict_gbm(model: GbmModel, data: SparseDataset, rounds=None) -> np.ndarray
         raise DataError(
             f"column-count mismatch: model has {model.n_cols}, data has {data.n_cols}")
     r = model.optimal_round if rounds is None else rounds
+    learners = model.learners[:r]
     raw = np.full(data.n_rows, model.base_score)
     if model.booster == GBTREE:
         cache = _PredictCache(data)
-        for tree in model.learners[:r]:
+        for tree in learners:
             raw = raw + model.learning_rate * predict_tree(tree, cache)
-    else:
-        bias = sum(d.bias for d in model.learners[:r])
-        if model.learners[:r]:
-            w = np.sum([d.weights for d in model.learners[:r]], axis=0)
-            raw = raw + model.learning_rate * (bias + data.to_csr().dot(w))
+    elif learners:
+        d = _summed_delta(learners)
+        raw = raw + model.learning_rate * (d.bias + data.to_csr().dot(d.weights))
     if model.loss == LOGISTIC:
         return expit(raw)
     return raw
+
+
+def export_gbm(model: GbmModel) -> GbmModel:
+    """The model cut to what `predict_gbm` reads at its optimal round.
+
+    Trees are kept up to the optimal round; gblinear deltas up to it are
+    summed into one by the same helper `predict_gbm` uses, so the cut model
+    predicts bit for bit like the full one.
+    """
+    learners = model.learners[:model.optimal_round]
+    if model.booster == GBLINEAR and learners:
+        learners = [_summed_delta(learners)]
+    return dataclasses.replace(model, learners=learners,
+                               optimal_round=len(learners), training_log=None)

@@ -1,5 +1,10 @@
 """Model archive: a self-describing JSON document with a content checksum.
 
+The archive holds only what `predict_cbf` reads: per bundle its label kind
+and base models cut at their optimal round (gblinear deltas summed into
+one), the layer-2 coefficient vectors used at prediction, the column order
+and the run config. Training reports live in the TSV files beside it.
+
 Floats round-trip exactly through Python's json (repr-based), so a saved
 model reproduces its in-memory predictions bit for bit.
 """
@@ -7,17 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
-from .data import FoldAssignment, LabelMapping
-from .elastic_net import ElasticNetModel, ElasticNetParams
-from .ensemble import (CbfModel, CvScore, HyperParamSample, Layer1Bundle,
-                       Layer2Selection)
-from .gbm import (GBTREE, DecisionTree, GbmModel, LinearDelta,
-                  LinearHyperParams, TreeHyperParams, TreeNode)
+from .elastic_net import ElasticNetModel
+from .ensemble import CbfModel, Layer1Bundle, Layer2Selection
+from .gbm import DecisionTree, GbmModel, LinearDelta, TreeNode, export_gbm
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class PersistenceError(ValueError):
@@ -55,114 +59,52 @@ def _learner_from_dict(d):
 
 
 def _gbm_to_dict(m: GbmModel):
+    m = export_gbm(m)
     return {"booster": m.booster, "loss": m.loss, "base_score": m.base_score,
-            "learning_rate": m.learning_rate,
-            "optimal_round": m.optimal_round, "n_cols": m.n_cols,
-            "training_log": [list(t) for t in m.training_log],
+            "learning_rate": m.learning_rate, "n_cols": m.n_cols,
             "learners": [_learner_to_dict(l) for l in m.learners]}
 
 
 def _gbm_from_dict(d):
+    learners = [_learner_from_dict(l) for l in d["learners"]]
     return GbmModel(booster=d["booster"], loss=d["loss"],
                     base_score=d["base_score"],
-                    learning_rate=d["learning_rate"],
-                    learners=[_learner_from_dict(l) for l in d["learners"]],
-                    optimal_round=d["optimal_round"],
-                    training_log=[tuple(t) for t in d["training_log"]],
+                    learning_rate=d["learning_rate"], learners=learners,
+                    optimal_round=len(learners), training_log=None,
                     n_cols=d["n_cols"])
-
-
-def _params_to_dict(p):
-    if isinstance(p, TreeHyperParams):
-        return {"kind": "tree", **p.__dict__}
-    if isinstance(p, LinearHyperParams):
-        return {"kind": "linear", **p.__dict__}
-    raise PersistenceError(f"unknown params type {type(p)!r}")
-
-
-def _params_from_dict(d):
-    d = dict(d)
-    kind = d.pop("kind")
-    return TreeHyperParams(**d) if kind == "tree" else LinearHyperParams(**d)
-
-
-def _bundle_to_dict(b: Layer1Bundle):
-    return {
-        "label_kind": b.label_kind,
-        "samples": [{"index": s.index, "booster": s.booster,
-                     "params": _params_to_dict(s.params)} for s in b.samples],
-        "models": [[_gbm_to_dict(m) for m in row] for row in b.models],
-        "oof_columns": b.oof_columns.tolist(),
-    }
-
-
-def _bundle_from_dict(d):
-    return Layer1Bundle(
-        label_kind=d["label_kind"],
-        samples=[HyperParamSample(index=s["index"], booster=s["booster"],
-                                  params=_params_from_dict(s["params"]))
-                 for s in d["samples"]],
-        models=[[_gbm_from_dict(m) for m in row] for row in d["models"]],
-        oof_columns=np.asarray(d["oof_columns"]))
-
-
-def _enet_params_to_dict(p: ElasticNetParams):
-    return dict(p.__dict__)
-
-
-def _enet_to_dict(m: ElasticNetModel):
-    return {"beta": m.beta.tolist(), "converged": m.converged,
-            "n_iter": m.n_iter, "single_class_warning": m.single_class_warning}
-
-
-def _enet_from_dict(d):
-    return ElasticNetModel(beta=np.asarray(d["beta"]), converged=d["converged"],
-                           n_iter=d["n_iter"],
-                           single_class_warning=d["single_class_warning"])
 
 
 def model_to_dict(model: CbfModel):
     sel = model.layer2
+    used = [sel.refit_model] if model.use_layer2_refit else sel.fold_models
     return {
-        "bundles": [_bundle_to_dict(b) for b in model.bundles],
-        "layer2": {
-            "candidates": [_enet_params_to_dict(c) for c in sel.candidates],
-            "cv_per_fold": sel.cv.per_fold.tolist(),
-            "selected_index": sel.selected_index,
-            "fold_models": [_enet_to_dict(m) for m in sel.fold_models],
-            "refit_model": _enet_to_dict(sel.refit_model),
-        },
-        "folds": {"K": model.folds.K,
-                  "fold_of_row": model.folds.fold_of_row.tolist()},
-        "label_mapping": None if model.label_mapping is None else {
-            "threshold": model.label_mapping.threshold,
-            "direction": model.label_mapping.direction},
-        "H": model.H,
-        "seed": model.seed,
+        "bundles": [{"label_kind": b.label_kind,
+                     "models": [[_gbm_to_dict(m) for m in row]
+                                for row in b.models]}
+                    for b in model.bundles],
+        "layer2_betas": [m.beta.tolist() for m in used],
         "column_order": [list(c) for c in model.column_order],
         "use_layer2_refit": model.use_layer2_refit,
     }
 
 
 def model_from_dict(d) -> CbfModel:
-    l2 = d["layer2"]
-    sel = Layer2Selection(
-        candidates=[ElasticNetParams(**c) for c in l2["candidates"]],
-        cv=CvScore(per_fold=np.asarray(l2["cv_per_fold"])),
-        selected_index=l2["selected_index"],
-        fold_models=[_enet_from_dict(m) for m in l2["fold_models"]],
-        refit_model=_enet_from_dict(l2["refit_model"]))
-    lm = d["label_mapping"]
+    betas = [ElasticNetModel(beta=np.asarray(b), converged=None, n_iter=None,
+                             single_class_warning=None)
+             for b in d["layer2_betas"]]
+    refit = d["use_layer2_refit"]
+    sel = Layer2Selection(candidates=None, cv=None, selected_index=None,
+                          fold_models=None if refit else betas,
+                          refit_model=betas[0] if refit else None)
     return CbfModel(
-        bundles=[_bundle_from_dict(b) for b in d["bundles"]],
-        layer2=sel,
-        folds=FoldAssignment(d["folds"]["K"],
-                             np.asarray(d["folds"]["fold_of_row"])),
-        label_mapping=None if lm is None else LabelMapping(lm["threshold"],
-                                                           lm["direction"]),
-        H=d["H"], seed=d["seed"],
+        bundles=[Layer1Bundle(label_kind=b["label_kind"], samples=None,
+                              models=[[_gbm_from_dict(m) for m in row]
+                                      for row in b["models"]],
+                              oof_columns=None)
+                 for b in d["bundles"]],
+        layer2=sel, folds=None, label_mapping=None, H=None, seed=None,
         column_order=[tuple(c) for c in d["column_order"]],
-        use_layer2_refit=d["use_layer2_refit"])
+        use_layer2_refit=refit)
 
 
 def _payload_checksum(payload):
@@ -171,13 +113,24 @@ def _payload_checksum(payload):
 
 
 def save_archive(path, model: CbfModel, config_dict):
+    """Write the archive to a temporary file beside `path`, then move it
+    into place, so a failed save leaves any previous archive intact."""
     payload = {"format_version": FORMAT_VERSION, "config": config_dict,
                "model": model_to_dict(model)}
     doc = dict(payload)
     doc["checksum"] = _payload_checksum(payload)
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            json.dump(doc, f, sort_keys=True)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_archive(path):

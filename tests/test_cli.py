@@ -1,4 +1,5 @@
 """CLI surface, run-config schema, and archive persistence tests."""
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 from cbforest.cli import main
 from cbforest.config import ConfigError, Layer2Config, RunConfig
 from cbforest.ensemble import predict_cbf
+from cbforest.gbm import GBLINEAR, GBTREE
 from cbforest.persistence import (PersistenceError, load_archive, model_to_dict,
                                   save_archive)
 
@@ -76,11 +78,13 @@ def test_layer2_config_defaults():
 def test_archive_round_trip_bit_exact(tiny_run, tmp_path):
     config, result = tiny_run
     path = tmp_path / "model.cbf"
-    save_archive(path, result.model, config.to_dict())
-    loaded, cfg = load_archive(path)
-    assert cfg == config.to_dict()
-    assert np.array_equal(predict_cbf(loaded, result.train_data),
-                          predict_cbf(result.model, result.train_data))
+    for refit in (False, True):
+        model = dataclasses.replace(result.model, use_layer2_refit=refit)
+        save_archive(path, model, config.to_dict())
+        loaded, cfg = load_archive(path)
+        assert cfg == config.to_dict()
+        assert np.array_equal(predict_cbf(loaded, result.train_data),
+                              predict_cbf(model, result.train_data))
 
 
 def test_archive_checksum_detects_corruption(tiny_run, tmp_path):
@@ -109,6 +113,75 @@ def test_archive_rejects_unknown_format_version(tiny_run, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(PersistenceError):
         load_archive(path)
+
+
+def _json_keys(node):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield k
+            yield from _json_keys(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _json_keys(v)
+
+
+def test_archive_holds_only_prediction_state(tiny_run, tmp_path):
+    config, result = tiny_run
+    path = tmp_path / "model.cbf"
+    save_archive(path, result.model, config.to_dict())
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    boosters, past_optimum = set(), 0
+    for bundle, stored in zip(result.model.bundles, doc["model"]["bundles"]):
+        for row, stored_row in zip(bundle.models, stored["models"]):
+            for m, sm in zip(row, stored_row):
+                boosters.add(m.booster)
+                past_optimum += len(m.learners) - m.optimal_round
+                kept = (m.optimal_round if m.booster == GBTREE
+                        else min(m.optimal_round, 1))
+                assert len(sm["learners"]) == kept
+    assert boosters == {GBTREE, GBLINEAR}
+    assert past_optimum > 0
+    training_only = {"training_log", "oof_columns", "fold_of_row", "samples",
+                     "cv_per_fold"}
+    assert not training_only & set(_json_keys(doc))
+    loaded, _ = load_archive(path)
+    assert loaded.folds is None and loaded.layer2.cv is None
+    assert all(b.oof_columns is None for b in loaded.bundles)
+
+
+def test_failed_save_keeps_the_previous_archive(tiny_run, tmp_path,
+                                                monkeypatch):
+    config, result = tiny_run
+    path = tmp_path / "model.cbf"
+    save_archive(path, result.model, config.to_dict())
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", fail)
+    with pytest.raises(OSError, match="no space"):
+        save_archive(path, result.model, config.to_dict())
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    load_archive(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.cbf"]
+
+
+def test_predict_rejects_a_format_1_archive(tiny_run, tiny_dataset, tmp_path,
+                                            capsys):
+    config, result = tiny_run
+    path = tmp_path / "model.cbf"
+    save_archive(path, result.model, config.to_dict())
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc))
+    code = run_cli(["predict", "--model", str(path), "--input",
+                    tiny_dataset["path"], "--output",
+                    str(tmp_path / "scores.tsv")])
+    assert code == 2
+    assert "format_version 1" in capsys.readouterr().err
 
 
 def test_model_dict_is_json_serializable(tiny_run):

@@ -1,4 +1,5 @@
 """Boosting-core tests: gradients, tree building, linear sweeps, training."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from _oracles import exact_greedy_tree_oracle
 from cbforest.data import LabelMapping, SparseDataset, load_svmlight
 from cbforest.gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, GbmModel,
                           LinearHyperParams, TrainingError, TreeHyperParams,
-                          build_linear_delta, build_tree, grad_hess,
-                          predict_gbm, train_gbm)
+                          build_linear_delta, build_tree, export_gbm,
+                          grad_hess, predict_gbm, train_gbm)
 from cbforest.metrics import MetricSpec, logloss
 
 # frozen with an independent high-precision evaluator (mpmath, 30 digits)
@@ -490,6 +491,31 @@ def test_predict_truncation_matches_discarding_learners():
                          training_log=model.training_log[:r + 1],
                          n_cols=model.n_cols)
     assert np.array_equal(predict_gbm(model, ds), predict_gbm(truncated, ds))
+
+
+@pytest.mark.parametrize("booster", [GBTREE, GBLINEAR])
+@pytest.mark.parametrize("cut", ["zero", "mid", "last"])
+def test_export_predicts_like_the_trained_model(booster, cut):
+    g_rng = np.random.default_rng(12)
+    X = (g_rng.random((160, 8)) < 0.4) * g_rng.integers(1, 4, (160, 8))
+    y = ((X[:, 0] - X[:, 1] + g_rng.normal(0, 0.5, 160)) > 0.5).astype(int)
+    train = dataset_from_dense(X[:100], binary=y[:100])
+    new = dataset_from_dense(X[100:], binary=y[100:])
+    params = (TreeHyperParams(max_depth=3) if booster == GBTREE
+              else LinearHyperParams(learning_rate=0.3))
+    model = train_gbm(train, train, params, LOGISTIC,
+                      MetricSpec(kind="auc_roc"), patience=100, max_rounds=12,
+                      seed=0)
+    n = len(model.learners)
+    assert n == 12
+    r = {"zero": 0, "mid": n // 2, "last": n}[cut]
+    model = dataclasses.replace(model, optimal_round=r)
+    exported = export_gbm(model)
+    kept = r if booster == GBTREE else min(r, 1)
+    assert len(exported.learners) == exported.optimal_round == kept
+    assert exported.training_log is None
+    for ds in (train, new):
+        assert np.array_equal(predict_gbm(exported, ds), predict_gbm(model, ds))
 
 
 def test_predict_column_mismatch():
