@@ -14,7 +14,8 @@ from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
                    binarize, load_csv, load_svmlight, stratified_kfold)
 from .elastic_net import ElasticNetModel, ElasticNetParams, fit_elastic_net, predict_proba
 from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
-                  TrainingError, TreeHyperParams, predict_gbm, train_gbm)
+                  TrainingError, TreeHyperParams, lookup_blocks,
+                  predict_gbm, split_features, train_gbm)
 from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 
 # Sampling ranges for the randomized hyper-parameter draws. Encodings:
@@ -342,16 +343,27 @@ class CbfModel:
 
 
 def layer1_feature_matrix(model: CbfModel, data: SparseDataset) -> np.ndarray:
-    """Fold-averaged base-model scores for new rows, in manifest order."""
-    cols, names = [], []
-    for b in model.bundles:
-        for h, fold_models in enumerate(b.models):
-            preds = [predict_gbm(m, data) for m in fold_models]
-            cols.append(np.mean(preds, axis=0))
-            names.append((b.label_kind, h))
+    """Fold-averaged base-model scores for new rows, in manifest order.
+
+    Rows are scored a block at a time; every base model of a block reads one
+    shared value lookup over the features any of their trees split on.
+    """
+    names = [(b.label_kind, h) for b in model.bundles
+             for h in range(len(b.models))]
     if names != list(map(tuple, model.column_order)):
         raise DataError("column manifest mismatch between model and bundles")
-    return np.column_stack(cols)
+    used = np.zeros(data.n_cols, dtype=bool)
+    for m in (m for b in model.bundles for row in b.models for m in row):
+        if m.n_cols != data.n_cols:
+            raise DataError(f"column-count mismatch: model has {m.n_cols}, "
+                            f"data has {data.n_cols}")
+        used[split_features(m)] = True
+    blocks = []
+    for lookup in lookup_blocks(data, np.flatnonzero(used)):
+        blocks.append(np.column_stack([
+            np.mean([predict_gbm(m, lookup) for m in fold_models], axis=0)
+            for b in model.bundles for fold_models in b.models]))
+    return np.concatenate(blocks)
 
 
 def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:

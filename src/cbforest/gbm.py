@@ -7,11 +7,15 @@ and exact enumeration over each feature's distinct present values, done on
 per-node histograms of the binned training values. Rows where the split
 feature is absent follow a per-split default direction learned as the side
 maximizing gain.
+
+A tree is a set of flat node arrays (`DecisionTree`). Prediction walks all
+trees of a model at once, one depth level per step, reading feature values
+from a dense `ValueLookup` that many models can share.
 """
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -71,33 +75,27 @@ class LinearHyperParams:
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1
-    split_value: float = 0.0
-    default_left: bool = True
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    leaf_value: float | None = None
-
-    @property
-    def is_leaf(self):
-        return self.leaf_value is not None
-
-
-@dataclass
 class DecisionTree:
-    root: TreeNode
+    """A binary tree as parallel arrays indexed by node id; node 0 is the root.
+
+    A split node i sends a row to node `left[i]` when the row's value of
+    `feature[i]` is below `threshold[i]`, or when the row stores no value for
+    it and `default_left[i]`; any other row goes to node `left[i] + 1`. A leaf
+    has `left[i] == -1` and predicts `value[i]`; its other entries are
+    placeholders (feature -1, threshold 0.0, default_left False), as is
+    `value` at a split. Both children of a node follow it in id order.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    default_left: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+
+    ARRAYS = ("feature", "threshold", "default_left", "left", "value")
 
     def n_leaves(self):
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                count += 1
-            else:
-                stack.extend((node.left, node.right))
-        return count
+        return int((self.left < 0).sum())
 
 
 @dataclass
@@ -122,8 +120,11 @@ class GbmModel:
     learning_rate: float
     learners: list
     optimal_round: int
-    training_log: list  # (train_score, valid_score) per round, index 0 = no learners
+    training_log: list  # valid score per round, index 0 = base score only
     n_cols: int
+    # ((rounds, learner count), _Forest) of the last tree walk; _forest_of
+    _forest: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
 
 def grad_hess(loss, y, raw):
@@ -280,38 +281,45 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
         level_masks.append(mask)
 
     side = np.empty(n, dtype=bool)
+    # node i's entries; children are appended as a pair when their parent
+    # splits, so `left` only ever points forward
+    feature, threshold, default_left, left, value = [-1], [0.0], [False], [-1], [0.0]
 
-    def leaf(G, H, depth):
-        # a tree that found no structure at all is a no-op: a bare root leaf
-        # would only shift the global intercept, which is the base score's job
-        w = 0.0 if depth == 0 else _leaf_weight(G, H, params)
-        return TreeNode(leaf_value=w)
-
-    def grow(node_rows, depth):
+    def grow(i, node_rows, depth):
         G = float(g[node_rows].sum())
         H = float(h[node_rows].sum())
-        if depth >= params.max_depth or len(node_rows) < 2:
-            return leaf(G, H, depth)
-        best = _find_best_split(node_rows, g, h, G, H, level_masks[depth],
-                                tm, params)
-        if best is None:
-            return leaf(G, H, depth)
-        _, j, split_value, default_left = best
-        cr, cv = tm.col(j)
-        side[node_rows] = default_left
-        side[cr] = cv < split_value
-        left_mask = side[node_rows]
-        left_rows = node_rows[left_mask]
-        right_rows = node_rows[~left_mask]
-        if len(left_rows) == 0 or len(right_rows) == 0:
-            return leaf(G, H, depth)
-        node = TreeNode(feature=j, split_value=split_value,
-                        default_left=default_left)
-        node.left = grow(left_rows, depth + 1)
-        node.right = grow(right_rows, depth + 1)
-        return node
+        best = None
+        if depth < params.max_depth and len(node_rows) >= 2:
+            best = _find_best_split(node_rows, g, h, G, H, level_masks[depth],
+                                    tm, params)
+        if best is not None:
+            _, j, split_value, dl = best
+            cr, cv = tm.col(j)
+            side[node_rows] = dl
+            side[cr] = cv < split_value
+            left_mask = side[node_rows]
+            left_rows = node_rows[left_mask]
+            right_rows = node_rows[~left_mask]
+            if len(left_rows) and len(right_rows):
+                c = len(left)
+                feature[i], threshold[i], default_left[i], left[i] = (
+                    j, split_value, dl, c)
+                for lst, v in ((feature, -1), (threshold, 0.0),
+                               (default_left, False), (left, -1), (value, 0.0)):
+                    lst.extend((v, v))
+                grow(c, left_rows, depth + 1)
+                grow(c + 1, right_rows, depth + 1)
+                return
+        # a tree that found no structure at all is a no-op: a bare root leaf
+        # would only shift the global intercept, which is the base score's job
+        value[i] = 0.0 if depth == 0 else _leaf_weight(G, H, params)
 
-    return DecisionTree(grow(np.asarray(rows, dtype=np.int64), 0))
+    grow(0, np.asarray(rows, dtype=np.int64), 0)
+    return DecisionTree(feature=np.array(feature, dtype=np.int64),
+                        threshold=np.array(threshold, dtype=np.float64),
+                        default_left=np.array(default_left, dtype=bool),
+                        left=np.array(left, dtype=np.int64),
+                        value=np.array(value, dtype=np.float64))
 
 
 def build_linear_delta(g, h, data: SparseDataset, params: LinearHyperParams,
@@ -364,42 +372,116 @@ def _summed_delta(deltas) -> LinearDelta:
                        weights=np.sum([d.weights for d in deltas], axis=0))
 
 
-class _PredictCache:
-    """Dense per-feature presence/value columns, built lazily per dataset."""
-
-    def __init__(self, dataset: SparseDataset):
-        self.n_rows = dataset.n_rows
-        self.csc = dataset.to_csc()
-        self._cols = {}
-
-    def col(self, j):
-        c = self._cols.get(j)
-        if c is None:
-            s, e = self.csc.indptr[j], self.csc.indptr[j + 1]
-            present = np.zeros(self.n_rows, dtype=bool)
-            vals = np.zeros(self.n_rows)
-            present[self.csc.indices[s:e]] = True
-            vals[self.csc.indices[s:e]] = self.csc.data[s:e]
-            c = (present, vals)
-            self._cols[j] = c
-        return c
+BLOCK_ROWS = 1024  # rows per ValueLookup, bounding its dense table
 
 
-def predict_tree(tree: DecisionTree, cache: _PredictCache) -> np.ndarray:
-    """Vectorized tree traversal over every row of the cached dataset."""
-    out = np.empty(cache.n_rows)
-    stack = [(tree.root, np.arange(cache.n_rows))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.leaf_value
-            continue
-        present, vals = cache.col(node.feature)
-        p = present[idx]
-        goes_left = np.where(p, vals[idx] < node.split_value, node.default_left)
-        stack.append((node.left, idx[goes_left]))
-        stack.append((node.right, idx[~goes_left]))
-    return out
+class ValueLookup:
+    """Dense values of some features over consecutive rows of a dataset.
+
+    `values[c, i]` is the value of the feature in column c for row
+    `start + i`, NaN where the row stores none: stored values are finite
+    (`SparseDataset` rejects others), so NaN marks absence alone. `features`
+    are distinct; `column[j]` is feature j's column, or -1 for a feature
+    left out. One lookup serves every tree model that splits only on its
+    features; `csr` gives its rows to linear models.
+    """
+
+    def __init__(self, data: SparseDataset, features, start=0, stop=None):
+        stop = data.n_rows if stop is None else stop
+        features = np.asarray(features, dtype=np.int64)
+        k = len(features)
+        self.n_rows = stop - start
+        self.n_cols = data.n_cols
+        self.column = np.full(data.n_cols, -1, dtype=np.int64)
+        self.column[features] = np.arange(k)
+        if self.n_rows == data.n_rows:
+            self.csr, csc = data.to_csr(), data.to_csc()
+        else:
+            self.csr = data.to_csr()[start:stop]
+            csc = self.csr.tocsc()
+        first = csc.indptr[features]
+        count = csc.indptr[features + 1] - first
+        pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
+                                                 count)
+        self.values = np.full((k, self.n_rows), np.nan)
+        self.values[np.repeat(np.arange(k), count),
+                    csc.indices[pos]] = csc.data[pos]
+
+
+def lookup_blocks(data: SparseDataset, features):
+    """A ValueLookup over `features` for each block of `BLOCK_ROWS` rows."""
+    for start in range(0, max(data.n_rows, 1), BLOCK_ROWS):
+        yield ValueLookup(data, features, start,
+                          min(start + BLOCK_ROWS, data.n_rows))
+
+
+class _Forest:
+    """Trees concatenated into one node table, walked together.
+
+    Node ids are global. A leaf loops back to itself: `right` is its own id,
+    and its threshold -inf and default right send no row left. So every row
+    can take the same number of steps, the depth of the deepest tree. A leaf
+    reads the lookup column of some split feature and ignores it.
+    """
+
+    def __init__(self, trees):
+        sizes = [len(t.left) for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        left = np.concatenate([t.left for t in trees])
+        leaf = left < 0
+        feature = np.concatenate([t.feature for t in trees])
+        self.features = np.unique(feature[~leaf])
+        self.feature = np.where(
+            leaf, self.features[0] if self.features.size else 0, feature)
+        self.threshold = np.where(
+            leaf, -np.inf, np.concatenate([t.threshold for t in trees]))
+        self.default_left = ~leaf & np.concatenate(
+            [t.default_left for t in trees])
+        self.right = np.where(leaf, np.arange(len(left)),
+                              left + np.repeat(self.roots, sizes) + 1)
+        self.value = np.concatenate([t.value for t in trees])
+        self.depth = 0
+        level = self.roots
+        while True:
+            level = level[~leaf[level]]
+            if not level.size:
+                break
+            self.depth += 1
+            right = self.right[level]
+            level = np.concatenate([right - 1, right])
+
+    def leaf_values(self, lookup: ValueLookup):
+        """(trees, rows) array: the leaf value each row reaches in each tree."""
+        if (lookup.column[self.features] < 0).any():
+            raise ValueError("value lookup lacks a feature the trees split on")
+        n = lookup.n_rows
+        # (tree, row) pairs, tree by tree, so that consecutive pairs read
+        # few columns, each in row order
+        node = np.repeat(self.roots, n)
+        if self.depth:
+            # flat offset of the lookup column each node reads
+            offset = lookup.column[self.feature] * n
+            values = lookup.values.ravel()
+            row = np.tile(np.arange(n), len(self.roots))
+        for _ in range(self.depth):
+            x = values[offset[node] + row]
+            go_left = ((x < self.threshold[node])
+                       | (np.isnan(x) & self.default_left[node]))
+            node = self.right[node] - go_left
+        return self.value[node].reshape(len(self.roots), n)
+
+
+def _lookups(data, features):
+    return [data] if isinstance(data, ValueLookup) else lookup_blocks(
+        data, features)
+
+
+def predict_tree(tree: DecisionTree, data) -> np.ndarray:
+    """The leaf value each row of `data` (a SparseDataset or a ValueLookup
+    covering the tree's split features) reaches in `tree`."""
+    forest = _Forest([tree])
+    return np.concatenate([forest.leaf_values(lk)[0]
+                           for lk in _lookups(data, forest.features)])
 
 
 def _metric_labels(dataset, loss, label_mapping):
@@ -421,9 +503,9 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
               patience=100, max_rounds=2000, seed=0) -> GbmModel:
     """Boost until the valid metric stops improving for `patience` rounds.
 
-    The training log holds oriented (larger-is-better) metric values for
-    every round including round 0 (base score only); the optimal round is
-    the argbest of the valid curve.
+    The training log holds the oriented (larger-is-better) valid metric
+    value of every round, index 0 for the base score alone; the optimal
+    round is its argbest.
     """
     if train.n_cols != valid.n_cols:
         raise TrainingError("train and valid column counts differ")
@@ -442,25 +524,22 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
         base = float(y.mean())
     else:
         raise TrainingError(f"unknown loss {loss!r}")
-    train_mlab = _metric_labels(train, loss, label_mapping)
     valid_mlab = _metric_labels(valid, loss, label_mapping)
 
     rng = np.random.default_rng(seed)
     tm = _TrainMatrix(train) if booster == GBTREE else None
-    train_cache = _PredictCache(train)
-    valid_cache = _PredictCache(valid)
     raw_tr = np.full(train.n_rows, base)
     raw_va = np.full(valid.n_rows, base)
 
-    def score(raw, labels):
+    def score(raw):
         s = expit(raw) if loss == LOGISTIC else raw
         try:
-            return oriented_score(stop_metric, s, labels)
+            return oriented_score(stop_metric, s, valid_mlab)
         except MetricError as e:
             raise TrainingError(f"stopping metric failed: {e}") from e
 
-    log = [(score(raw_tr, train_mlab), score(raw_va, valid_mlab))]
-    best_score, best_round = log[0][1], 0
+    log = [score(raw_va)]
+    best_score, best_round = log[0], 0
     learners = []
     cum_w = np.zeros(train.n_cols)
     cum_b = 0.0
@@ -475,8 +554,10 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
             else:
                 rows = None
             learner = build_tree(g, h, tm, params, rng, rows=rows)
-            out_tr = predict_tree(learner, train_cache)
-            out_va = predict_tree(learner, valid_cache)
+            # training sets are held whole in memory, so each gets one lookup
+            split_on = np.unique(learner.feature[learner.left >= 0])
+            out_tr = predict_tree(learner, ValueLookup(train, split_on))
+            out_va = predict_tree(learner, ValueLookup(valid, split_on))
         else:
             learner = build_linear_delta(g, h, train, params, cum_b, cum_w)
             out_tr = learner.bias + train.to_csr().dot(learner.weights)
@@ -486,9 +567,8 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
         raw_tr = raw_tr + lr * out_tr
         raw_va = raw_va + lr * out_va
         learners.append(learner)
-        s_tr = score(raw_tr, train_mlab)
-        s_va = score(raw_va, valid_mlab)
-        log.append((s_tr, s_va))
+        s_va = score(raw_va)
+        log.append(s_va)
         if s_va > best_score:
             best_score, best_round = s_va, t
         if t - best_round >= patience:
@@ -500,8 +580,30 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
                     n_cols=train.n_cols)
 
 
-def predict_gbm(model: GbmModel, data: SparseDataset, rounds=None) -> np.ndarray:
+def _forest_of(model: GbmModel, rounds) -> _Forest:
+    """The model's first `rounds` trees as one forest, kept on the model for
+    the next walk."""
+    key = (rounds, len(model.learners))
+    if model._forest is None or model._forest[0] != key:
+        model._forest = (key, _Forest(model.learners[:rounds]))
+    return model._forest[1]
+
+
+def split_features(model: GbmModel) -> np.ndarray:
+    """Sorted ids of the features the model's trees split on, up to its
+    optimal round; a ValueLookup over them serves `predict_gbm`."""
+    if model.booster != GBTREE or model.optimal_round == 0:
+        return np.empty(0, dtype=np.int64)
+    return _forest_of(model, model.optimal_round).features
+
+
+def predict_gbm(model: GbmModel, data, rounds=None) -> np.ndarray:
     """Predict with the first `rounds` learners (default: the optimal round).
+
+    `data` is a SparseDataset, or a ValueLookup over a block of its rows that
+    covers the model's `split_features`, which many models can share. All
+    trees are walked together, and their outputs are added to the base score
+    one tree at a time, in order, as training added them.
 
     Logistic models return probabilities in (0, 1); quadratic models return
     raw scores.
@@ -511,14 +613,24 @@ def predict_gbm(model: GbmModel, data: SparseDataset, rounds=None) -> np.ndarray
             f"column-count mismatch: model has {model.n_cols}, data has {data.n_cols}")
     r = model.optimal_round if rounds is None else rounds
     learners = model.learners[:r]
-    raw = np.full(data.n_rows, model.base_score)
-    if model.booster == GBTREE:
-        cache = _PredictCache(data)
-        for tree in learners:
-            raw = raw + model.learning_rate * predict_tree(tree, cache)
-    elif learners:
-        d = _summed_delta(learners)
-        raw = raw + model.learning_rate * (d.bias + data.to_csr().dot(d.weights))
+    if model.booster == GBTREE and learners:
+        forest = _forest_of(model, r)
+        blocks = []
+        for lookup in _lookups(data, forest.features):
+            terms = np.empty((len(learners) + 1, lookup.n_rows))
+            terms[0] = model.base_score
+            np.multiply(model.learning_rate, forest.leaf_values(lookup),
+                        out=terms[1:])
+            # cumsum adds the trees in order, as `raw + lr * out` did per
+            # round; a pairwise sum would change the last bits
+            blocks.append(np.cumsum(terms, axis=0)[-1])
+        raw = np.concatenate(blocks)
+    else:
+        raw = np.full(data.n_rows, model.base_score)
+        if learners:
+            csr = data.csr if isinstance(data, ValueLookup) else data.to_csr()
+            d = _summed_delta(learners)
+            raw = raw + model.learning_rate * (d.bias + csr.dot(d.weights))
     if model.loss == LOGISTIC:
         return expit(raw)
     return raw

@@ -1,9 +1,11 @@
 """Model archive: a self-describing JSON document with a content checksum.
 
 The archive holds only what `predict_cbf` reads: per bundle its label kind
-and base models cut at their optimal round (gblinear deltas summed into
-one), the layer-2 coefficient vectors used at prediction, the column order
-and the run config. Training reports live in the TSV files beside it.
+and base models cut at their optimal round (each tree as its flat node
+arrays, gblinear deltas summed into one), the layer-2 coefficient vectors
+used at prediction, the column order and the run config. Training reports
+live in the TSV files beside it. Trees are checked on load, so a walk of
+any loaded tree ends at one of its leaves.
 
 Floats round-trip exactly through Python's json (repr-based), so a saved
 model reproduces its in-memory predictions bit for bit.
@@ -19,42 +21,60 @@ import numpy as np
 
 from .elastic_net import ElasticNetModel
 from .ensemble import CbfModel, Layer1Bundle, Layer2Selection
-from .gbm import DecisionTree, GbmModel, LinearDelta, TreeNode, export_gbm
+from .gbm import DecisionTree, GbmModel, LinearDelta, export_gbm
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class PersistenceError(ValueError):
     """Corrupt, truncated, or incompatible model archive."""
 
 
-def _node_to_dict(node: TreeNode):
-    if node.is_leaf:
-        return {"leaf": node.leaf_value}
-    return {"feature": node.feature, "split": node.split_value,
-            "default_left": node.default_left,
-            "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(d):
-    if "leaf" in d:
-        return TreeNode(leaf_value=d["leaf"])
-    return TreeNode(feature=d["feature"], split_value=d["split"],
-                    default_left=d["default_left"],
-                    left=_node_from_dict(d["left"]),
-                    right=_node_from_dict(d["right"]))
-
-
 def _learner_to_dict(learner):
     if isinstance(learner, DecisionTree):
-        return {"tree": _node_to_dict(learner.root)}
+        return {"tree": {name: getattr(learner, name).tolist()
+                         for name in DecisionTree.ARRAYS}}
     return {"bias": learner.bias, "weights": learner.weights.tolist()}
 
 
-def _learner_from_dict(d):
+# numpy dtype kinds a stored tree array may take: integer, float, bool
+_TREE_KINDS = {"feature": "i", "threshold": "if", "default_left": "b",
+               "left": "i", "value": "if"}
+
+
+def _tree_from_dict(d, n_cols) -> DecisionTree:
+    """A stored tree, checked so that every walk of it ends at one of its
+    leaves, having read only features below `n_cols`."""
+    if not isinstance(d, dict) or set(d) != set(_TREE_KINDS):
+        raise PersistenceError("malformed tree: expected the arrays "
+                               + ", ".join(DecisionTree.ARRAYS))
+    arrays = {name: np.asarray(d[name]) for name in DecisionTree.ARRAYS}
+    n = arrays["left"].size
+    if n == 0 or any(a.shape != (n,) or a.dtype.kind not in _TREE_KINDS[name]
+                     for name, a in arrays.items()):
+        raise PersistenceError("malformed tree: its arrays differ in length "
+                               "or hold entries of the wrong type")
+    tree = DecisionTree(
+        feature=arrays["feature"].astype(np.int64),
+        threshold=arrays["threshold"].astype(np.float64),
+        default_left=arrays["default_left"],
+        left=arrays["left"].astype(np.int64),
+        value=arrays["value"].astype(np.float64))
+    split = np.flatnonzero(tree.left != -1)
+    child = tree.left[split]
+    if ((child <= split) | (child + 1 >= n)).any():
+        raise PersistenceError("malformed tree: a child index is out of range "
+                               "or does not point past its parent")
+    f = tree.feature[split]
+    if ((f < 0) | (f >= n_cols)).any():
+        raise PersistenceError(
+            f"malformed tree: a split feature is not below n_cols {n_cols}")
+    return tree
+
+
+def _learner_from_dict(d, n_cols):
     if "tree" in d:
-        return DecisionTree(_node_from_dict(d["tree"]))
+        return _tree_from_dict(d["tree"], n_cols)
     return LinearDelta(bias=d["bias"], weights=np.asarray(d["weights"]))
 
 
@@ -66,7 +86,7 @@ def _gbm_to_dict(m: GbmModel):
 
 
 def _gbm_from_dict(d):
-    learners = [_learner_from_dict(l) for l in d["learners"]]
+    learners = [_learner_from_dict(l, d["n_cols"]) for l in d["learners"]]
     return GbmModel(booster=d["booster"], loss=d["loss"],
                     base_score=d["base_score"],
                     learning_rate=d["learning_rate"], learners=learners,
@@ -148,4 +168,9 @@ def load_archive(path):
             f"unsupported archive format_version {doc.get('format_version')!r}")
     if _payload_checksum(doc) != stored:
         raise PersistenceError("archive checksum mismatch")
-    return model_from_dict(doc["model"]), doc["config"]
+    try:
+        return model_from_dict(doc["model"]), doc["config"]
+    except PersistenceError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise PersistenceError(f"malformed archive: {e!r}") from e

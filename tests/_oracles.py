@@ -215,3 +215,33 @@ def exact_greedy_tree_oracle(rows, g, h, node_rows, level_features, max_depth,
                 grow(left, depth + 1), grow(right, depth + 1))
 
     return grow(list(node_rows), 0)
+
+
+def tree_walk_oracle(tree, row):
+    """The leaf value a row reaches in a nested tree, one node at a time.
+
+    `tree` is ("leaf", value) or ("split", feature, threshold, default_left,
+    left, right), as `exact_greedy_tree_oracle` returns; `row` is a
+    {feature: value} dict of the row's stored values. A stored value goes
+    left when below the threshold; an absent one follows the default.
+    """
+    while tree[0] == "split":
+        _, feature, threshold, default_left, left, right = tree
+        if feature in row:
+            go_left = row[feature] < threshold
+        else:
+            go_left = default_left
+        tree = left if go_left else right
+    return tree[1]
+
+
+def boosted_trees_oracle(trees, rows, base_score, learning_rate):
+    """Raw score per row: the base score plus `learning_rate` times each
+    tree's leaf value, added one tree at a time in order."""
+    out = []
+    for row in rows:
+        raw = base_score
+        for tree in trees:
+            raw = raw + learning_rate * tree_walk_oracle(tree, row)
+        out.append(raw)
+    return out

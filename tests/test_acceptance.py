@@ -318,7 +318,7 @@ def test_criterion_7_early_stopping_contract(tiny_run):
     for bundle in result.model.bundles:
         for per_candidate in bundle.models:
             for model in per_candidate:
-                valid = [v for _, v in model.training_log]
+                valid = model.training_log
                 opt = model.optimal_round
                 if valid[opt] != max(valid):
                     ok = False

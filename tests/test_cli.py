@@ -12,8 +12,8 @@ from cbforest.cli import main
 from cbforest.config import ConfigError, Layer2Config, RunConfig
 from cbforest.ensemble import predict_cbf
 from cbforest.gbm import GBLINEAR, GBTREE
-from cbforest.persistence import (PersistenceError, load_archive, model_to_dict,
-                                  save_archive)
+from cbforest.persistence import (PersistenceError, _payload_checksum,
+                                  load_archive, model_to_dict, save_archive)
 
 from conftest import tiny_config_dict
 
@@ -130,7 +130,7 @@ def test_archive_holds_only_prediction_state(tiny_run, tmp_path):
     path = tmp_path / "model.cbf"
     save_archive(path, result.model, config.to_dict())
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     boosters, past_optimum = set(), 0
     for bundle, stored in zip(result.model.bundles, doc["model"]["bundles"]):
         for row, stored_row in zip(bundle.models, stored["models"]):
@@ -169,19 +169,101 @@ def test_failed_save_keeps_the_previous_archive(tiny_run, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["model.cbf"]
 
 
-def test_predict_rejects_a_format_1_archive(tiny_run, tiny_dataset, tmp_path,
-                                            capsys):
+def _edited_archive(tiny_run, tmp_path, edit, rechecksum=False):
+    """Save the tiny run's archive, apply `edit` to its JSON document, and
+    optionally store the checksum of the edited payload."""
     config, result = tiny_run
     path = tmp_path / "model.cbf"
     save_archive(path, result.model, config.to_dict())
     doc = json.loads(path.read_text())
-    doc["format_version"] = 1
+    edit(doc)
+    if rechecksum:
+        doc.pop("checksum")
+        doc["checksum"] = _payload_checksum(doc)
     path.write_text(json.dumps(doc))
-    code = run_cli(["predict", "--model", str(path), "--input",
+    return path
+
+
+def _predict_exit_code(path, tiny_dataset, tmp_path):
+    return run_cli(["predict", "--model", str(path), "--input",
                     tiny_dataset["path"], "--output",
                     str(tmp_path / "scores.tsv")])
-    assert code == 2
+
+
+def test_predict_rejects_a_format_1_archive(tiny_run, tiny_dataset, tmp_path,
+                                            capsys):
+    path = _edited_archive(tiny_run, tmp_path,
+                           lambda doc: doc.update(format_version=1))
+    assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
     assert "format_version 1" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_format_2_archive(tiny_run, tiny_dataset, tmp_path,
+                                            capsys):
+    path = _edited_archive(tiny_run, tmp_path,
+                           lambda doc: doc.update(format_version=2))
+    assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
+    assert "format_version 2" in capsys.readouterr().err
+
+
+def _first_stored_tree(doc):
+    for bundle in doc["model"]["bundles"]:
+        for row in bundle["models"]:
+            for m in row:
+                for learner in m["learners"]:
+                    if "tree" in learner and max(learner["tree"]["left"]) > 0:
+                        return learner["tree"]
+    raise AssertionError("the archive stores no tree with a split")
+
+
+def _split_node(tree):
+    return next(i for i, c in enumerate(tree["left"]) if c >= 0)
+
+
+def _child_out_of_range(doc):
+    tree = _first_stored_tree(doc)
+    tree["left"][_split_node(tree)] = len(tree["left"]) - 1
+
+
+def _child_before_parent(doc):
+    tree = _first_stored_tree(doc)
+    i = _split_node(tree)
+    tree["left"][i] = i
+
+
+def _arrays_differ_in_length(doc):
+    _first_stored_tree(doc)["threshold"].append(0.5)
+
+
+def _feature_past_n_cols(doc):
+    tree = _first_stored_tree(doc)
+    tree["feature"][_split_node(tree)] = doc["model"]["bundles"][0][
+        "models"][0][0]["n_cols"]
+
+
+def test_predict_rejects_a_tree_child_out_of_range(tiny_run, tiny_dataset,
+                                                   tmp_path, capsys):
+    path = _edited_archive(tiny_run, tmp_path, _child_out_of_range,
+                           rechecksum=True)
+    assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
+    assert "child index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [_child_out_of_range, _child_before_parent,
+                                  _arrays_differ_in_length,
+                                  _feature_past_n_cols])
+def test_archive_rejects_malformed_trees(tiny_run, tmp_path, edit):
+    path = _edited_archive(tiny_run, tmp_path, edit, rechecksum=True)
+    with pytest.raises(PersistenceError, match="malformed tree"):
+        load_archive(path)
+
+
+def test_archive_rejects_a_missing_field(tiny_run, tmp_path):
+    def drop_n_cols(doc):
+        del doc["model"]["bundles"][0]["models"][0][0]["n_cols"]
+    path = _edited_archive(tiny_run, tmp_path, drop_n_cols, rechecksum=True)
+    with pytest.raises(PersistenceError, match="malformed archive"):
+        load_archive(path)
 
 
 def test_model_dict_is_json_serializable(tiny_run):

@@ -10,7 +10,7 @@ from cbforest.ensemble import (CbfModel, CvScore, Layer1Bundle, Layer2Data,
                                assemble_md, derive_seed, layer1_cv,
                                layer1_feature_matrix, predict_cbf, run_cbf,
                                sample_hyperparams, train_layer1, train_layer2)
-from cbforest.gbm import (GBLINEAR, GBTREE, QUADRATIC, GbmModel,
+from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, QUADRATIC, GbmModel,
                           LinearHyperParams, TreeHyperParams, predict_gbm)
 from cbforest.metrics import MetricSpec, logloss
 
@@ -272,6 +272,18 @@ def test_predict_cbf_output_contract(tiny_run):
     preds = predict_cbf(result.model, result.train_data)
     assert preds.shape == (result.train_data.n_rows,)
     assert (preds > 0.0).all() and (preds < 1.0).all()
+
+
+def test_layer1_rows_one_at_a_time_equal_the_batch(tiny_run):
+    # more rows than one value-lookup block, so the batch spans two blocks
+    _, result = tiny_run
+    train = result.train_data
+    data = train.subset(np.arange(BLOCK_ROWS + 100) % train.n_rows)
+    batch = layer1_feature_matrix(result.model, data)
+    one_by_one = np.vstack([layer1_feature_matrix(result.model,
+                                                  data.subset([i]))
+                            for i in range(data.n_rows)])
+    assert np.array_equal(one_by_one, batch)
 
 
 def test_predict_cbf_differs_from_oof_training_values(tiny_run):

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from _oracles import exact_greedy_tree_oracle
+from _oracles import boosted_trees_oracle, exact_greedy_tree_oracle
 from cbforest.data import LabelMapping, SparseDataset, load_svmlight
-from cbforest.gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, GbmModel,
-                          LinearHyperParams, TrainingError, TreeHyperParams,
-                          build_linear_delta, build_tree, export_gbm,
-                          grad_hess, predict_gbm, train_gbm)
+from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
+                          DecisionTree, GbmModel, LinearHyperParams,
+                          TrainingError, TreeHyperParams, build_linear_delta,
+                          build_tree, export_gbm, grad_hess, lookup_blocks,
+                          predict_gbm, train_gbm)
 from cbforest.metrics import MetricSpec, logloss
 
 # frozen with an independent high-precision evaluator (mpmath, 30 digits)
@@ -79,15 +81,19 @@ def test_grad_hess_vectorized():
 # -------------------------------------------------------------- build_tree
 
 def _leaves(tree):
-    out = []
-    stack = [tree.root]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            out.append(n.leaf_value)
-        else:
-            stack.extend((n.left, n.right))
-    return out
+    return tree.value[tree.left < 0].tolist()
+
+
+def _root(tree):
+    """(feature, threshold, default_left) of the root split."""
+    return (int(tree.feature[0]), float(tree.threshold[0]),
+            bool(tree.default_left[0]))
+
+
+def _root_children(tree):
+    """Leaf values of the root's left and right children."""
+    c = tree.left[0]
+    return (float(tree.value[c]), float(tree.value[c + 1]))
 
 
 def test_build_tree_zero_gradient_single_leaf():
@@ -156,8 +162,7 @@ def test_build_tree_non_binary_feature_values():
     tree = build_tree(g, h, ds, TreeHyperParams(reg_lambda=0.0, max_depth=1),
                       np.random.default_rng(0))
     assert tree.n_leaves() == 2
-    root = tree.root
-    assert 0.2 < root.split_value <= 0.9
+    assert 0.2 < tree.threshold[0] <= 0.9
     assert sorted(_leaves(tree)) == [-1.0, 1.0]
 
 
@@ -169,16 +174,17 @@ def test_build_tree_tie_prefers_lowest_feature():
     tree = build_tree(np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), ds,
                       TreeHyperParams(reg_lambda=0.0, max_depth=1),
                       np.random.default_rng(0))
-    root = tree.root
-    assert (root.feature, root.split_value, root.default_left) == (0, 1.0, True)
-    assert (root.left.leaf_value, root.right.leaf_value) == (-1.0, 1.0)
+    assert _root(tree) == (0, 1.0, True)
+    assert _root_children(tree) == (-1.0, 1.0)
 
 
-def _nested(node):
-    if node.is_leaf:
-        return ("leaf", node.leaf_value)
-    return ("split", node.feature, node.split_value, node.default_left,
-            _nested(node.left), _nested(node.right))
+def _nested(tree, i=0):
+    """The flat tree as the oracles' nested tuples."""
+    c = int(tree.left[i])
+    if c < 0:
+        return ("leaf", float(tree.value[i]))
+    return ("split", int(tree.feature[i]), float(tree.threshold[i]),
+            bool(tree.default_left[i]), _nested(tree, c), _nested(tree, c + 1))
 
 
 def _level_features(seed, n_cols, params):
@@ -244,7 +250,7 @@ def test_build_tree_matches_exact_greedy_oracle():
             _level_features(case, p, params), params.max_depth,
             reg_lambda=params.reg_lambda, gamma=params.gamma,
             min_child_weight=params.min_child_weight)
-        assert _nested(tree.root) == expected, f"case {case}"
+        assert _nested(tree) == expected, f"case {case}"
         splits += tree.n_leaves() - 1
     assert splits > 300
 
@@ -263,8 +269,7 @@ def test_build_tree_rows_without_values():
     tree = build_tree(g, np.ones(5), ds,
                       TreeHyperParams(reg_lambda=0.0, max_depth=1),
                       np.random.default_rng(0))
-    root = tree.root
-    assert (root.feature, root.split_value, root.default_left) == (0, 2.0, True)
+    assert _root(tree) == (0, 2.0, True)
     model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=0.0,
                      learning_rate=1.0, learners=[tree], optimal_round=1,
                      training_log=[], n_cols=1)
@@ -280,8 +285,7 @@ def test_build_tree_stored_zero_is_present(tmp_path):
     tree = build_tree(np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), ds,
                       TreeHyperParams(reg_lambda=0.0, max_depth=1),
                       np.random.default_rng(0))
-    root = tree.root
-    assert (root.feature, root.split_value, root.default_left) == (0, 0.0, True)
+    assert _root(tree) == (0, 0.0, True)
     model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=0.0,
                      learning_rate=1.0, learners=[tree], optimal_round=1,
                      training_log=[], n_cols=1)
@@ -303,12 +307,7 @@ def test_build_tree_never_splits_on_feature_without_values():
     tree = build_tree(g_rng.normal(size=60), np.full(60, 0.25), ds,
                       TreeHyperParams(max_depth=4, min_child_weight=0.0),
                       np.random.default_rng(1))
-    stack, used = [tree.root], set()
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            used.add(node.feature)
-            stack.extend((node.left, node.right))
+    used = set(tree.feature[tree.left >= 0].tolist())
     assert used and 1 not in used
 
 
@@ -369,8 +368,7 @@ def test_train_gbm_learns_perfect_feature():
     model = train_gbm(ds, ds, TreeHyperParams(max_depth=1), LOGISTIC,
                       MetricSpec(kind="auc_roc"), patience=5, max_rounds=50,
                       seed=0)
-    valid_scores = [v for _, v in model.training_log]
-    assert max(valid_scores) == 1.0
+    assert max(model.training_log) == 1.0
     assert model.optimal_round <= 10
     preds = predict_gbm(model, ds)
     assert ((preds > 0.5) == (ds.binary_labels == 1)).all()
@@ -429,7 +427,7 @@ def test_train_gbm_gblinear_learns():
                       MetricSpec(kind="auc_roc"), patience=5, max_rounds=50,
                       seed=0)
     assert model.booster == GBLINEAR
-    assert max(v for _, v in model.training_log) == 1.0
+    assert max(model.training_log) == 1.0
 
 
 def test_train_gbm_quadratic_regression_with_binarized_stop():
@@ -442,7 +440,7 @@ def test_train_gbm_quadratic_regression_with_binarized_stop():
                       MetricSpec(kind="auc_roc"), label_mapping=mapping,
                       patience=5, max_rounds=40, seed=0)
     assert model.loss == QUADRATIC
-    assert max(v for _, v in model.training_log) > 0.9
+    assert max(model.training_log) > 0.9
 
 
 def test_train_gbm_requires_mapping_for_continuous_ranking_stop():
@@ -516,6 +514,104 @@ def test_export_predicts_like_the_trained_model(booster, cut):
     assert exported.training_log is None
     for ds in (train, new):
         assert np.array_equal(predict_gbm(exported, ds), predict_gbm(model, ds))
+
+
+def _flat(nested):
+    """A nested oracle tree as a DecisionTree, children allocated in pairs."""
+    arrays = {"feature": [], "threshold": [], "default_left": [], "left": [],
+              "value": []}
+
+    def add():
+        for name, v in (("feature", -1), ("threshold", 0.0),
+                        ("default_left", False), ("left", -1), ("value", 0.0)):
+            arrays[name].append(v)
+
+    def fill(i, node):
+        if node[0] == "leaf":
+            arrays["value"][i] = node[1]
+            return
+        _, f, t, dl, lo, hi = node
+        c = len(arrays["left"])
+        add()
+        add()
+        arrays["feature"][i], arrays["threshold"][i] = f, t
+        arrays["default_left"][i], arrays["left"][i] = dl, c
+        fill(c, lo)
+        fill(c + 1, hi)
+
+    add()
+    fill(0, nested)
+    return DecisionTree(**{k: np.array(v) for k, v in arrays.items()})
+
+
+def _random_nested_tree(r, col_values, depth):
+    if depth == 0 or r.random() < 0.2:
+        return ("leaf", float(r.normal()))
+    f = int(r.integers(len(col_values)))
+    # a stored value equal to the threshold goes right
+    threshold = float(r.choice(col_values[f])) + float(r.choice([0.0, 0.5]))
+    return ("split", f, threshold, bool(r.random() < 0.5),
+            _random_nested_tree(r, col_values, depth - 1),
+            _random_nested_tree(r, col_values, depth - 1))
+
+
+def test_predict_gbm_matches_tree_walk_oracle():
+    # binary, count and negative columns (the last stores explicit 0.0),
+    # rows storing nothing, both default directions, no-op depth-0 trees,
+    # models of 0 learners and walks cut at fewer rounds than trees
+    r = np.random.default_rng(20261018)
+    for case in range(120):
+        n_cols = int(r.integers(1, 8))
+        col_values = [COLUMN_VALUES[k]
+                      for k in r.choice(list(COLUMN_VALUES), size=n_cols)]
+        rows = []
+        for _ in range(int(r.integers(1, 30))):
+            density = 0.0 if r.random() < 0.2 else float(r.choice([0.3, 0.8]))
+            rows.append({j: float(r.choice(col_values[j]))
+                         for j in range(n_cols) if r.random() < density})
+        trees = [_random_nested_tree(r, col_values, int(r.integers(1, 6)))
+                 for _ in range(case % 6)]
+        if trees and case % 3 == 0:
+            trees.insert(int(r.integers(len(trees))), ("leaf", 0.0))
+        ds = SparseDataset.from_rows([sorted(row.items()) for row in rows],
+                                     n_cols=n_cols)
+        loss = LOGISTIC if case % 2 else QUADRATIC
+        model = GbmModel(booster=GBTREE, loss=loss,
+                         base_score=float(r.normal()),
+                         learning_rate=float(r.choice([0.1, 0.3, 1.0])),
+                         learners=[_flat(t) for t in trees],
+                         optimal_round=len(trees), training_log=[],
+                         n_cols=n_cols)
+        for rounds in (None, len(trees) // 2, 0):
+            cut = trees[:len(trees) if rounds is None else rounds]
+            raw = np.array(boosted_trees_oracle(cut, rows, model.base_score,
+                                                model.learning_rate))
+            expected = expit(raw) if loss == LOGISTIC else raw
+            assert np.array_equal(predict_gbm(model, ds, rounds=rounds),
+                                  expected), f"case {case}, rounds {rounds}"
+            shared = np.concatenate([
+                predict_gbm(model, lookup, rounds=rounds)
+                for lookup in lookup_blocks(ds, np.arange(n_cols))])
+            assert np.array_equal(shared, expected)
+
+
+@pytest.mark.parametrize("booster", [GBTREE, GBLINEAR])
+def test_predict_gbm_rows_one_at_a_time_equal_the_batch(booster):
+    g_rng = np.random.default_rng(14)
+    n = BLOCK_ROWS + 200
+    X = (g_rng.random((n, 10)) < 0.3) * g_rng.integers(1, 4, (n, 10))
+    y = ((X[:, 0] - X[:, 1] + g_rng.normal(0, 0.5, n)) > 0.5).astype(int)
+    ds = dataset_from_dense(X, binary=y)
+    train = ds.subset(np.arange(200))
+    params = (TreeHyperParams(max_depth=4) if booster == GBTREE
+              else LinearHyperParams(learning_rate=0.3))
+    model = train_gbm(train, train, params, LOGISTIC,
+                      MetricSpec(kind="auc_roc"), patience=100, max_rounds=15,
+                      seed=0)
+    model = dataclasses.replace(model, optimal_round=len(model.learners))
+    batch = predict_gbm(model, ds)
+    one_by_one = [predict_gbm(model, ds.subset([i]))[0] for i in range(n)]
+    assert np.array_equal(one_by_one, batch)
 
 
 def test_predict_column_mismatch():
