@@ -68,6 +68,9 @@ def cmd_train(args):
 
     try:
         result = run_cbf(config)
+    except ConfigError as e:   # a sampling range is checked when drawn
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DataError,) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -81,11 +84,11 @@ def cmd_train(args):
 
     sel = result.model.layer2
     K = result.model.folds.K
-    header = (["candidate", "lambda1", "lambda2", "learning_rate"]
+    header = (["candidate", "lambda1", "lambda2"]
               + [f"cv_fold_{k}" for k in range(K)] + ["cv_mean", "selected"])
     rows = []
     for h, cand in enumerate(sel.candidates):
-        rows.append([h, cand.lambda1, cand.lambda2, cand.learning_rate]
+        rows.append([h, cand.lambda1, cand.lambda2]
                     + list(sel.cv.per_fold[h])
                     + [float(sel.cv.mean[h]),
                        1 if h == sel.selected_index else 0])

@@ -5,6 +5,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .elastic_net import MAX_ITER, TOL
 from .metrics import MetricError, MetricSpec
 
 
@@ -106,8 +107,11 @@ class LabelConfig:
 
 @dataclass(frozen=True)
 class Layer2Config:
-    max_iter: int = 20_000
-    tol: float = 1e-6
+    """Layer-2 solver settings: `max_iter` bounds the Newton iterations of
+    each elastic-net fit and `tol` the KKT residual at which it converges."""
+
+    max_iter: int = MAX_ITER
+    tol: float = TOL
     penalize_intercept: bool = False
     refit: bool = False
 
@@ -118,8 +122,8 @@ class Layer2Config:
         _reject_unknown(d, ("max_iter", "tol", "penalize_intercept", "refit"),
                         "layer2")
         return cls(
-            max_iter=_optional(d, "max_iter", int, 20_000, where="layer2."),
-            tol=float(_optional(d, "tol", (int, float), 1e-6, where="layer2.")),
+            max_iter=_optional(d, "max_iter", int, MAX_ITER, where="layer2."),
+            tol=float(_optional(d, "tol", (int, float), TOL, where="layer2.")),
             penalize_intercept=_optional(d, "penalize_intercept", bool, False,
                                          where="layer2."),
             refit=_optional(d, "refit", bool, False, where="layer2."))

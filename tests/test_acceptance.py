@@ -380,7 +380,6 @@ def test_criterion_9_calibration_order_invariance():
                          + g.normal(0, 0.08, n), 1e-6, 1 - 1e-6)
         X = scores.reshape(-1, 1)
         m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-3, lambda2=1e-3,
-                                                   learning_rate=0.1,
                                                    tol=1e-8))
         if m.beta[1] <= 0:
             continue

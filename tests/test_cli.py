@@ -10,6 +10,7 @@ import pytest
 
 from cbforest.cli import main
 from cbforest.config import ConfigError, Layer2Config, RunConfig
+from cbforest.elastic_net import ElasticNetParams
 from cbforest.ensemble import predict_cbf
 from cbforest.gbm import GBLINEAR, GBTREE
 from cbforest.persistence import (PersistenceError, _payload_checksum,
@@ -67,8 +68,8 @@ def test_config_missing_path_rejected(tiny_dataset):
 
 def test_layer2_config_defaults():
     cfg = Layer2Config.from_dict({})
-    assert cfg.max_iter == 20_000
-    assert cfg.tol == 1e-6
+    solver = ElasticNetParams()
+    assert (cfg.max_iter, cfg.tol) == (solver.max_iter, solver.tol) == (1000, 1e-6)
     assert not cfg.penalize_intercept
     assert not cfg.refit
 
@@ -308,8 +309,8 @@ def test_train_report_shapes(cli_train):
     _, out, cfg = cli_train
     cv_lines = (out / "cv_scores.tsv").read_text().strip().split("\n")
     assert cv_lines[0].split("\t") == [
-        "candidate", "lambda1", "lambda2", "learning_rate", "cv_fold_0",
-        "cv_fold_1", "cv_mean", "selected"]
+        "candidate", "lambda1", "lambda2", "cv_fold_0", "cv_fold_1",
+        "cv_mean", "selected"]
     assert len(cv_lines) == 1 + cfg["H"]
     selected = [line.split("\t")[-1] for line in cv_lines[1:]]
     assert selected.count("1") == 1
@@ -352,6 +353,17 @@ def test_train_h_zero_exits_one(tiny_dataset, tmp_path, capsys):
     cfg_path.write_text(json.dumps(tiny_config_dict(tiny_dataset, H=0)))
     assert run_cli(["train", "--config", str(cfg_path)]) == 1
     assert "H" in capsys.readouterr().err
+
+
+def test_train_rejects_a_layer2_learning_rate_range(tiny_dataset, tmp_path,
+                                                    capsys):
+    cfg = tiny_config_dict(tiny_dataset, sampling_ranges={
+        "layer2": {"learning_rate": ["log", 0.01, 10.0]}})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", str(cfg_path)]) == 1
+    assert ("unknown sampling_ranges entry layer2.learning_rate"
+            in capsys.readouterr().err)
 
 
 def test_train_invalid_json_exits_one(tmp_path):

@@ -1,10 +1,12 @@
-"""Elastic-net layer-2 tests against a scipy reference optimizer."""
+"""Elastic-net layer-2 tests against a scipy reference optimizer and the
+coordinate-descent oracle of tests/_oracles.py."""
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from _oracles import elastic_net_cd_oracle, elastic_net_objective_oracle
 from cbforest.elastic_net import (ElasticNetModel, ElasticNetParams,
                                   fit_elastic_net, predict_proba,
                                   smooth_gradient, smooth_objective)
@@ -29,6 +31,25 @@ def make_problem(seed, n=200, p=3):
     return X, y
 
 
+def kkt_residual_of(beta, X, y, lambda1, lambda2, penalize_intercept=False):
+    """Largest minimum-norm subgradient of the objective at beta, from its
+    definition: |derivative + lambda1 * sign| at a nonzero penalized
+    coefficient, max(|derivative| - lambda1, 0) at a zero one."""
+    X1 = np.hstack([np.ones((len(y), 1)), X])
+    pen = np.ones(X1.shape[1])
+    pen[0] = 1.0 if penalize_intercept else 0.0
+    z = X1 @ beta
+    grad = X1.T @ (1.0 / (1.0 + np.exp(-z)) - y) + 2.0 * lambda2 * pen * beta
+    res = []
+    for j in range(len(beta)):
+        l1 = lambda1 * pen[j]
+        if beta[j] != 0:
+            res.append(abs(grad[j] + l1 * math.copysign(1.0, beta[j])))
+        else:
+            res.append(max(abs(grad[j]) - l1, 0.0))
+    return max(res)
+
+
 # --------------------------------------------------------------- fitting
 
 def test_intercept_only_balanced_labels():
@@ -41,8 +62,7 @@ def test_intercept_only_balanced_labels():
 
 def test_huge_l1_zeroes_coefficient_intercept_free():
     X, y = make_problem(1)
-    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e6,
-                                               learning_rate=0.01, tol=1e-6))
+    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e6, tol=1e-6))
     assert np.array_equal(m.beta[1:], np.zeros(X.shape[1]))
     base = y.mean()
     assert m.beta[0] == pytest.approx(math.log(base / (1 - base)), abs=1e-4)
@@ -53,8 +73,7 @@ def test_unregularized_matches_reference_optimizer():
     X = g.random((20, 2))
     y = (g.random(20) < 0.5).astype(float)
     y[0], y[1] = 1.0, 0.0
-    m = fit_elastic_net(X, y, ElasticNetParams(learning_rate=0.05,
-                                               tol=1e-10))
+    m = fit_elastic_net(X, y, ElasticNetParams(tol=1e-10))
     X1 = np.hstack([np.ones((20, 1)), X])
     grad = smooth_gradient(m.beta, X1, y, 0.0, np.zeros(3))
     assert np.linalg.norm(grad) <= 1e-4
@@ -65,8 +84,7 @@ def test_unregularized_matches_reference_optimizer():
 def test_regularized_objective_matches_reference():
     X, y = make_problem(4)
     lam1, lam2 = 1e-3, 1e-2
-    params = ElasticNetParams(lambda1=lam1, lambda2=lam2, learning_rate=0.05,
-                              tol=1e-10)
+    params = ElasticNetParams(lambda1=lam1, lambda2=lam2, tol=1e-10)
     m = fit_elastic_net(X, y, params)
     X1 = np.hstack([np.ones((len(y), 1)), X])
     pen = np.ones(X.shape[1] + 1)
@@ -83,10 +101,8 @@ def test_regularized_objective_matches_reference():
 
 def test_penalize_intercept_flag_changes_solution():
     X, y = make_problem(5)
-    base = fit_elastic_net(X, y, ElasticNetParams(lambda2=5.0,
-                                                  learning_rate=0.05, tol=1e-6))
-    pen = fit_elastic_net(X, y, ElasticNetParams(lambda2=5.0,
-                                                 learning_rate=0.05, tol=1e-6,
+    base = fit_elastic_net(X, y, ElasticNetParams(lambda2=5.0, tol=1e-6))
+    pen = fit_elastic_net(X, y, ElasticNetParams(lambda2=5.0, tol=1e-6,
                                                  penalize_intercept=True))
     assert abs(pen.beta[0]) < abs(base.beta[0])
 
@@ -95,30 +111,120 @@ def test_lambda2_shrinks_coefficient_norm_monotonically():
     X, y = make_problem(6)
     norms = []
     for lam2 in (0.0, 0.1, 1.0, 10.0, 100.0):
-        m = fit_elastic_net(X, y, ElasticNetParams(lambda2=lam2,
-                                                   learning_rate=0.05,
-                                                   tol=1e-7))
+        m = fit_elastic_net(X, y, ElasticNetParams(lambda2=lam2, tol=1e-7))
         norms.append(float(np.linalg.norm(m.beta[1:])))
     assert all(b <= a + 1e-5 for a, b in zip(norms, norms[1:]))
     assert norms[-1] < norms[0]
 
 
-def test_objective_non_increasing_and_converges_across_learning_rates():
+def test_converges_across_penalty_grid():
+    # a converged fit has its KKT residual within tol, in few iterations
     X, y = make_problem(7, n=500)
-    for lr in (1e-4, 1e-2, 1.0, 10.0):
-        m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-4, lambda2=1e-4,
-                                                   learning_rate=lr, tol=1e-6,
-                                                   max_iter=20000))
-        assert m.converged, f"lr={lr} failed to converge"
+    # a near-copy of column 0 makes small penalties ill-conditioned
+    X = np.column_stack([X, X[:, 0] + 1e-3 * X[:, 1]])
+    for lam1 in (0.0, 1e-6, 1e-3, 1.0, 30.0):
+        for lam2 in (0.0, 1e-6, 1e-2, 10.0):
+            for tol in (1e-6, 1e-9):
+                m = fit_elastic_net(X, y, ElasticNetParams(
+                    lambda1=lam1, lambda2=lam2, tol=tol))
+                case = f"lambda1={lam1} lambda2={lam2} tol={tol}"
+                assert m.converged, case
+                assert m.n_iter <= 50, case
+                assert kkt_residual_of(m.beta, X, y, lam1, lam2) <= tol, case
+
+
+# (seed, near-collinear, lambda1, lambda2, penalize_intercept)
+ORACLE_CASES = [
+    (0, False, 1e-3, 1e-3, False),
+    (1, True, 1e-4, 1e-6, False),     # correlation 0.98, lambda2 tiny
+    (2, True, 0.0, 1e-5, False),
+    (3, False, 4.0, 1e-3, False),     # lambda1 zeroes coefficients
+    (4, False, 1e-2, 1e-2, True),
+    (5, True, 0.5, 1e-6, True),
+]
+
+
+@pytest.mark.parametrize("seed,collinear,lam1,lam2,pen_icpt", ORACLE_CASES)
+def test_objective_matches_coordinate_descent_oracle(seed, collinear, lam1,
+                                                     lam2, pen_icpt):
+    g = np.random.default_rng(seed)
+    n = 40
+    X = g.random((n, 3))
+    if collinear:
+        X[:, 1] = 0.8 * X[:, 0] + 0.2 * g.random(n)
+    z = -0.5 + 2.0 * X[:, 0] - X[:, 2]
+    y = (g.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+    m = fit_elastic_net(X, y, ElasticNetParams(
+        lambda1=lam1, lambda2=lam2, penalize_intercept=pen_icpt, tol=1e-9))
+    assert m.converged
+    ref = elastic_net_cd_oracle(X, y, lam1, lam2, pen_icpt)
+    f_fit = elastic_net_objective_oracle(m.beta, X, y, lam1, lam2, pen_icpt)
+    f_ref = elastic_net_objective_oracle(ref, X, y, lam1, lam2, pen_icpt)
+    assert abs(f_fit - f_ref) <= 1e-8 * abs(f_ref)
+    assert np.array_equal(m.beta == 0, ref == 0)
+    if lam1 >= 1.0:
+        assert (m.beta[1:] == 0).any()
+
+
+def test_max_iter_bounds_the_iterations():
+    X, y = make_problem(13)
+    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-3, lambda2=1e-3,
+                                               max_iter=1))
+    assert not m.converged
+    assert m.n_iter == 1
+
+
+def test_warm_start_reaches_the_same_optimum():
+    X, y = make_problem(14)
+    params = ElasticNetParams(lambda1=1e-2, lambda2=1e-3, tol=1e-10)
+    cold = fit_elastic_net(X, y, params)
+    again = fit_elastic_net(X, y, params, init=cold.beta)
+    assert again.converged and again.n_iter == 0
+    assert np.array_equal(again.beta, cold.beta)
+    far = fit_elastic_net(X, y, params, init=np.array([5.0, -3.0, 0.0, 7.0]))
+    assert far.converged
+    assert np.allclose(far.beta, cold.beta, rtol=0, atol=1e-8)
+    with pytest.raises(ValueError):
+        fit_elastic_net(X, y, params, init=np.zeros(3))
 
 
 def test_single_class_warning_flag():
     X = np.random.default_rng(8).random((12, 2))
-    m = fit_elastic_net(X, np.ones(12),
-                        ElasticNetParams(learning_rate=0.05, tol=1e-6))
+    m = fit_elastic_net(X, np.ones(12), ElasticNetParams(tol=1e-6))
     assert m.single_class_warning
+    # the unpenalized intercept has no finite optimum
+    assert not m.converged
     # the intercept still pushes probabilities toward the base rate of 1
     assert predict_proba(m, X).min() > 0.5
+
+
+def test_single_class_with_penalized_intercept_has_an_optimum():
+    X = np.random.default_rng(8).random((12, 2))
+    params = ElasticNetParams(lambda2=0.1, penalize_intercept=True, tol=1e-9)
+    m = fit_elastic_net(X, np.ones(12), params)
+    assert m.single_class_warning and m.converged
+    assert kkt_residual_of(m.beta, X, np.ones(12), 0.0, 0.1, True) <= 1e-9
+
+
+def test_duplicate_columns_without_penalty_converge():
+    # the Hessian is singular: each Newton step is the least-norm one
+    X, y = make_problem(15)
+    X = np.column_stack([X, X[:, 0]])
+    m = fit_elastic_net(X, y, ElasticNetParams(tol=1e-9))
+    assert m.converged
+    assert kkt_residual_of(m.beta, X, y, 0.0, 0.0) <= 1e-9
+    assert m.beta[1] == pytest.approx(m.beta[4], rel=1e-9)
+
+
+def test_separable_rows_without_penalty_report_no_optimum():
+    X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
+    y = np.array([0, 0, 0, 1, 1, 1], dtype=float)
+    assert not fit_elastic_net(X, y, ElasticNetParams()).converged
+    # a penalty on the slope restores the optimum
+    assert fit_elastic_net(X, y, ElasticNetParams(lambda2=1e-3)).converged
+    # overlapping classes have one without any penalty
+    y_mixed = np.array([0, 1, 0, 1, 0, 1], dtype=float)
+    assert fit_elastic_net(X, y_mixed, ElasticNetParams()).converged
 
 
 def test_non_finite_input_rejected():
@@ -131,7 +237,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ElasticNetParams(lambda1=-1.0)
     with pytest.raises(ValueError):
-        ElasticNetParams(learning_rate=0.0)
+        ElasticNetParams(max_iter=0)
     with pytest.raises(ValueError):
         ElasticNetParams(tol=0.0)
 
@@ -190,7 +296,7 @@ def test_calibration_map_preserves_ordering_with_positive_coefficient():
     g = np.random.default_rng(12)
     y = (g.random(300) < 0.3).astype(float)
     X = np.clip(0.1 + 0.8 * y + g.normal(0, 0.05, 300), 0.0, 1.0).reshape(-1, 1)
-    m = fit_elastic_net(X, y, ElasticNetParams(learning_rate=0.05, tol=1e-6))
+    m = fit_elastic_net(X, y, ElasticNetParams(tol=1e-6))
     assert m.beta[1] > 0
     p = predict_proba(m, X)
     assert np.array_equal(np.argsort(p, kind="stable"),

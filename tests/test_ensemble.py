@@ -1,7 +1,10 @@
 """Stacking pipeline tests: sampling, layer-1 grids, MD assembly, layer-2."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cbforest import ensemble
 from cbforest.config import ConfigError, RunConfig
 from cbforest.data import (DataError, LabelMapping, SparseDataset,
                            stratified_kfold)
@@ -215,6 +218,24 @@ def test_train_layer2_selection_is_argmax_of_mean(tiny_run):
     assert np.array_equal(sel.cv.mean, sel.cv.per_fold.mean(axis=1))
 
 
+def test_train_layer2_converges_on_every_fit(tiny_run, monkeypatch):
+    config, result = tiny_run
+    fit, fits = ensemble.fit_elastic_net, []
+
+    def recording_fit(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(ensemble, "fit_elastic_net", recording_fit)
+    md = assemble_md(result.model.bundles, result.train_data.binary_labels)
+    sel = train_layer2(md, result.model.folds, config.H,
+                       derive_seed(config.seed, 4), config.selection_metric,
+                       max_iter=config.layer2.max_iter, tol=config.layer2.tol)
+    assert len(fits) == config.H * config.K + 1
+    assert all(m.converged for m in fits)
+    assert np.array_equal(sel.cv.per_fold, result.model.layer2.cv.per_fold)
+
+
 def test_train_layer2_calibration_sanity():
     # one column already equals the true Bernoulli parameter; the stacked
     # calibration should not lose more than 1% logloss against it
@@ -283,6 +304,17 @@ def test_layer1_rows_one_at_a_time_equal_the_batch(tiny_run):
     one_by_one = np.vstack([layer1_feature_matrix(result.model,
                                                   data.subset([i]))
                             for i in range(data.n_rows)])
+    assert np.array_equal(one_by_one, batch)
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_predict_cbf_rows_one_at_a_time_equal_the_batch(tiny_run, refit):
+    _, result = tiny_run
+    model = dataclasses.replace(result.model, use_layer2_refit=refit)
+    data = result.train_data
+    batch = predict_cbf(model, data)
+    one_by_one = [predict_cbf(model, data.subset([i]))[0]
+                  for i in range(data.n_rows)]
     assert np.array_equal(one_by_one, batch)
 
 
