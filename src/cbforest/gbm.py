@@ -4,9 +4,14 @@ quadratic losses, early stopping on a pluggable larger-is-better metric.
 Trees use second-order (Newton) boosting with the regularized split gain
     1/2 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma
 and exact enumeration over each feature's distinct present values, done on
-per-node histograms of the binned training values. Rows where the split
-feature is absent follow a per-split default direction learned as the side
-maximizing gain.
+histograms of the binned training values. A tree grows one depth level at a
+time: one pass builds the histograms of all nodes of a level, all their
+candidates are scored together, and the finished tree is numbered
+depth-first. Rows where the split feature is absent follow a per-split
+default direction learned as the side maximizing gain.
+
+A linear learner is one coordinate-descent sweep per round over the columns
+of the training matrix, which are sliced once per `train_gbm`.
 
 A tree is a set of flat node arrays (`DecisionTree`). Prediction walks all
 trees of a model at once, one depth level per step, reading feature values
@@ -15,6 +20,7 @@ from a dense `ValueLookup` that many models can share.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +146,7 @@ def grad_hess(loss, y, raw):
 
 
 class _TrainMatrix:
-    """Training view for trees: columns for routing, bins for splits.
+    """Training view for trees: bins for splits, columns for routing.
 
     Every stored value gets a bin id. Bins number the distinct (feature,
     value) pairs of the stored values in feature order, then value order, so
@@ -151,8 +157,12 @@ class _TrainMatrix:
     def __init__(self, dataset: SparseDataset):
         self.n_rows = dataset.n_rows
         self.n_cols = dataset.n_cols
-        self.csc = dataset.to_csc()
         self.indptr = dataset.indptr
+        csc = dataset.to_csc()
+        # column j stores rows col_rows[col_ptr[j]:col_ptr[j + 1]]
+        self.col_ptr = csc.indptr.tolist()
+        self.col_rows = csc.indices
+        self.col_values = csc.data
         order = np.lexsort((dataset.values, dataset.indices))
         feat = dataset.indices[order]
         vals = dataset.values[order]
@@ -163,105 +173,131 @@ class _TrainMatrix:
         self.bin_feature = feat[new_bin]
         self.bin_value = vals[new_bin]
 
-    def col(self, j):
-        s, e = self.csc.indptr[j], self.csc.indptr[j + 1]
-        return self.csc.indices[s:e], self.csc.data[s:e]
+
+# (node, bin) cells of one histogram: a level's nodes are searched in batches
+# of at most this many cells, bounding memory on deep trees over many
+# distinct values
+HIST_CELLS = 1 << 21
 
 
-def _leaf_weight(G, H, params):
-    denom = H + params.reg_lambda
-    if denom <= 0:
-        return 0.0
-    w = -G / denom
-    if params.max_delta_step > 0:
-        w = float(np.clip(w, -params.max_delta_step, params.max_delta_step))
-    return float(w)
+def _best_splits(cells, vg, vh, counts, G, H, bin_mask, tm, params):
+    """Best split of each node of a batch.
 
+    `cells` maps each stored value of the tree's rows to a histogram cell,
+    `q * n_bins + bin` for a value of a row in batch node q and a cell past
+    the batch's for any other value; `vg` and `vh` are the gradient and
+    hessian of the value's row. Batch node q has `counts[q]` rows with sums
+    `G[q]` and `H[q]`. Each feature allowed by `bin_mask` (over bins) and
+    present in a node offers these candidates: present-right/absent-left at
+    its smallest present value, if some node rows lack the feature; and at
+    each midpoint between adjacent present values, absent rows on the left
+    and, if some rows lack it, on the right.
 
-def _find_best_split(rows, g, h, G, H, feat_mask, tm, params):
-    """Best (gain, feature, split_value, default_left) over allowed features.
-
-    G, H and count are summed per bin over the node's stored values, in row
-    order. Each allowed feature present in the node offers these candidates:
-    present-right/absent-left at its smallest present value, if some node
-    rows lack the feature; and at each midpoint between adjacent present
-    values, absent rows on the left and, if some rows lack it, on the right.
-
-    Returns None when no split has positive gain. Ties resolve to the lowest
-    feature index, then lowest split value, then default-left.
+    Returns (nodes, feature, threshold, default_left) for the batch nodes
+    that have a split with positive gain. A node's best candidate is the one
+    with the largest computed gain; ties resolve to the lowest feature index,
+    then lowest split value, then default-left. Ties are taken on the float
+    gains: two splits whose gains are equal in exact arithmetic can differ in
+    the last bit, as when two features induce the same partition but sum it
+    in different orders, and then the larger float wins.
     """
     lam = params.reg_lambda
     mcw = params.min_child_weight
-    gamma = params.gamma
-    starts = tm.indptr[rows]
-    lens = tm.indptr[rows + 1] - starts
-    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
-                                            lens)
-    bins = tm.bin_of[pos]
+    n_nodes = len(counts)
     n_bins = len(tm.bin_feature)
-    Gb = np.bincount(bins, weights=np.repeat(g[rows], lens), minlength=n_bins)
-    Hb = np.bincount(bins, weights=np.repeat(h[rows], lens), minlength=n_bins)
-    Cb = np.bincount(bins, minlength=n_bins)
-
-    b = np.flatnonzero((Cb > 0) & feat_mask[tm.bin_feature])
-    if b.size == 0:
-        return None
-    feat, vals, Gb, Hb = tm.bin_feature[b], tm.bin_value[b], Gb[b], Hb[b]
-    is_first = np.ones(len(b), dtype=bool)
-    is_first[1:] = feat[1:] != feat[:-1]
+    size = (n_nodes + 1) * n_bins
+    # bincount adds each cell's values in input order, which within a node
+    # is its row order
+    Gc = np.bincount(cells, weights=vg, minlength=size)
+    Hc = np.bincount(cells, weights=vh, minlength=size)
+    Cc = np.bincount(cells, minlength=size)
+    c = np.flatnonzero((Cc[:size - n_bins].reshape(n_nodes, n_bins) > 0)
+                       & bin_mask)
+    if c.size == 0:
+        return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),
+                                                     np.empty(0, dtype=bool))
+    node, b = np.divmod(c, n_bins)
+    feat, vals, Gb, Hb = tm.bin_feature[b], tm.bin_value[b], Gc[c], Hc[c]
+    # runs of one feature's bins within one node
+    key = node * tm.n_cols + feat
+    is_first = np.ones(len(c), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=is_first[1:])
     first = np.flatnonzero(is_first)
-    # reduceat returns a lone bin's sum unchanged, so a feature with one
-    # present value in the node keeps its row-order sums bit for bit
-    Gp = np.add.reduceat(Gb, first)
-    Hp = np.add.reduceat(Hb, first)
-    missing = np.add.reduceat(Cb[b], first) < len(rows)
-    Gm, Hm = G - Gp, H - Hp
+    # reduceat sums each run on its own and returns a lone bin's sum
+    # unchanged, so per-feature sums do not depend on the other nodes
+    present = np.array([np.add.reduceat(Gb, first),
+                        np.add.reduceat(Hb, first)])
+    run_node = node[first]
+    missing = np.add.reduceat(Cc[c], first) < counts[run_node]
+    node_sums = np.array([G, H])
+    absent = node_sums[:, run_node] - present
 
     a = np.flatnonzero(missing)
-    # bins followed by another bin of the same feature; s is their feature slot
+    # bins followed by another bin of the same run; s is their run
     m = np.flatnonzero(~is_first[1:])
     s = (np.cumsum(is_first) - 1)[m]
-    cg = np.zeros(len(b) + 1)
-    ch = np.zeros(len(b) + 1)
-    np.cumsum(Gb, out=cg[1:])
-    np.cumsum(Hb, out=ch[1:])
-    GLp = cg[m + 1] - cg[first[s]]
-    HLp = ch[m + 1] - ch[first[s]]
+    # prefix sums restart at each node: a node's selected bins fill one row
+    # of a (node, width) table from the left, after a column of zeros; `at`
+    # is each bin's place in it
+    per_node = np.bincount(node, minlength=n_nodes)
+    start = np.cumsum(per_node) - per_node
+    width = int(per_node.max()) + 1
+    at = node * width + np.arange(1, len(c) + 1) - start[node]
+    table = np.zeros((2, n_nodes * width))
+    table[0, at] = Gb
+    table[1, at] = Hb
+    prefix = np.cumsum(table.reshape(2, n_nodes, width), axis=2).reshape(2, -1)
+    upto = prefix[:, at[m]] - prefix[:, at[first[s]] - 1]
     right = missing[s]
-    GLm, HLm = GLp + Gm[s], HLp + Hm[s]
+    upto_absent = upto + absent[:, s]
+    sums_m = node_sums[:, node[m]]
 
     # candidates: present-right/absent-left, then midpoints with absent rows
-    # left, then midpoints with absent rows right
-    lo = np.concatenate([first[a], m, m[right]])
-    kind = np.repeat([0, 1, 2], [len(a), len(m), int(right.sum())])
-    GL = np.concatenate([Gm[a], GLm, GLp[right]])
-    HL = np.concatenate([Hm[a], HLm, HLp[right]])
-    GR = np.concatenate([Gp[a], G - GLm, G - GLp[right]])
-    HR = np.concatenate([Hp[a], H - HLm, H - HLp[right]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
-                        - G * G / (H + lam)) - gamma)
-    ok = (HL >= mcw) & (HR >= mcw) & (gains > 0)
-    if not ok.any():
-        return None
-    best = gains[ok].max()
-    # bins ascend by (feature, value), so 3 * lo + kind orders candidates by
-    # feature, then threshold, then default-left
-    tied = np.flatnonzero(ok & (gains == best))
-    i = tied[np.argmin(3 * lo[tied] + kind[tied])]
-    j = lo[i]
-    split_value = vals[j] if kind[i] == 0 else (vals[j] + vals[j + 1]) / 2.0
-    return float(best), int(feat[j]), float(split_value), bool(kind[i] != 2)
+    # left, then midpoints with absent rows right; a node's candidates take
+    # slots (bin, kind) of a (node, 3 * width) score table, which orders them
+    # by feature, then threshold, then default-left
+    GL, HL = np.concatenate([absent[:, a], upto_absent, upto[:, right]],
+                            axis=1)
+    GR, HR = np.concatenate([present[:, a], sums_m - upto_absent,
+                             sums_m[:, right] - upto[:, right]], axis=1)
+    slot = 3 * at - 3
+    slot = np.concatenate([slot[first[a]], slot[m] + 1, slot[m[right]] + 2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parent = (G * G / (H + lam))[slot // (3 * width)]
+        gains = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent)
+                 - params.gamma)
+        ok = (HL >= mcw) & (HR >= mcw) & (gains > 0)
+        score = np.zeros((n_nodes, 3 * width))
+        score.ravel()[slot[ok]] = gains[ok]
+        # argmax takes the first of tied candidates
+        pick = score.argmax(axis=1)
+        won = np.flatnonzero(score.max(axis=1) > 0)
+        i, kind = np.divmod(pick[won], 3)
+        i += start[won]
+        threshold = np.where(kind == 0, vals[i],
+                             (vals[i] + vals[np.minimum(i + 1, len(c) - 1)])
+                             / 2.0)
+    return won, feat[i], threshold, kind != 2
 
 
 def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionTree:
-    """Greedy depth-first Newton tree over the given training rows."""
+    """Newton tree over the given training rows, grown one depth level at a
+    time.
+
+    All nodes of a level are split at once: their histograms are built and
+    their candidates scored together (`_best_splits`), and their rows are
+    routed down each split feature's column. A node becomes a leaf at
+    `max_depth`, with fewer than two rows, or with no split of positive
+    gain. The tree is then numbered depth-first: a split node's children
+    take the next two free ids when it is reached in preorder, left child
+    first.
+    """
     tm = data if isinstance(data, _TrainMatrix) else _TrainMatrix(data)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     n = tm.n_rows
-    if rows is None:
-        rows = np.arange(n)
+    node_rows = (np.arange(n) if rows is None
+                 else np.asarray(rows, dtype=np.int64))
 
     # column sampling is drawn up front so the draw sequence does not depend
     # on the shape the tree happens to take
@@ -280,63 +316,198 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
             mask[tree_feats] = True
         level_masks.append(mask)
 
+    n_bins = len(tm.bin_feature)
+    batch = max(1, HIST_CELLS // max(1, n_bins))
+    # the stored values of the tree's rows in row order, with their rows,
+    # bins, gradients and hessians; a node's values keep this order
+    starts = tm.indptr[node_rows]
+    lens = tm.indptr[node_rows + 1] - starts
+    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
+                                            lens)
+    vrow = np.repeat(node_rows, lens)
+    vbin = tm.bin_of[pos]
+    vg = np.repeat(g[node_rows], lens)
+    vh = np.repeat(h[node_rows], lens)
     side = np.empty(n, dtype=bool)
-    # node i's entries; children are appended as a pair when their parent
-    # splits, so `left` only ever points forward
-    feature, threshold, default_left, left, value = [-1], [0.0], [False], [-1], [0.0]
+    node_of_row = np.empty(n, dtype=np.int64)
+    # per level: its nodes' G and H, and (split, feature, threshold,
+    # default_left). A level lists the left children of the previous level's
+    # split nodes in order, then their right children; `node_rows` holds its
+    # rows node by node, `counts` rows each.
+    sums, splits = [], []
+    counts = np.array([len(node_rows)])
+    for depth in range(params.max_depth + 1):
+        n_nodes = len(counts)
+        ends = np.cumsum(counts)
+        gn, hn = g[node_rows], h[node_rows]
+        bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+        G = np.array([gn[s:e].sum() for s, e in bounds])
+        H = np.array([hn[s:e].sum() for s, e in bounds])
+        sums.append((G, H))
+        searched = np.flatnonzero(counts >= 2)
+        if depth == params.max_depth or not searched.size:
+            break
 
-    def grow(i, node_rows, depth):
-        G = float(g[node_rows].sum())
-        H = float(h[node_rows].sum())
-        best = None
-        if depth < params.max_depth and len(node_rows) >= 2:
-            best = _find_best_split(node_rows, g, h, G, H, level_masks[depth],
-                                    tm, params)
-        if best is not None:
-            _, j, split_value, dl = best
-            cr, cv = tm.col(j)
-            side[node_rows] = dl
-            side[cr] = cv < split_value
-            left_mask = side[node_rows]
-            left_rows = node_rows[left_mask]
-            right_rows = node_rows[~left_mask]
-            if len(left_rows) and len(right_rows):
-                c = len(left)
-                feature[i], threshold[i], default_left[i], left[i] = (
-                    j, split_value, dl, c)
-                for lst, v in ((feature, -1), (threshold, 0.0),
-                               (default_left, False), (left, -1), (value, 0.0)):
-                    lst.extend((v, v))
-                grow(c, left_rows, depth + 1)
-                grow(c + 1, right_rows, depth + 1)
-                return
-        # a tree that found no structure at all is a no-op: a bare root leaf
-        # would only shift the global intercept, which is the base score's job
-        value[i] = 0.0 if depth == 0 else _leaf_weight(G, H, params)
+        level_node = np.repeat(np.arange(n_nodes), counts)
+        # rows outside the level's nodes map to the slot past them
+        node_of_row.fill(n_nodes)
+        node_of_row[node_rows] = level_node
+        bin_mask = level_masks[depth][tm.bin_feature]
+        feature = np.full(n_nodes, -1, dtype=np.int64)
+        threshold = np.zeros(n_nodes)
+        default_left = np.zeros(n_nodes, dtype=bool)
+        for i in range(0, len(searched), batch):
+            q = searched[i:i + batch]
+            cell = np.full(n_nodes + 1, len(q) * n_bins)
+            cell[q] = np.arange(len(q)) * n_bins
+            won, f, t, dl = _best_splits(cell[node_of_row][vrow] + vbin, vg,
+                                         vh, counts[q], G[q], H[q], bin_mask,
+                                         tm, params)
+            q = q[won]
+            feature[q], threshold[q], default_left[q] = f, t, dl
+        split = feature >= 0
+        if not split.any():
+            break
 
-    grow(0, np.asarray(rows, dtype=np.int64), 0)
-    return DecisionTree(feature=np.array(feature, dtype=np.int64),
-                        threshold=np.array(threshold, dtype=np.float64),
-                        default_left=np.array(default_left, dtype=bool),
-                        left=np.array(left, dtype=np.int64),
-                        value=np.array(value, dtype=np.float64))
+        # rows of split nodes go to their default side, then rows that store
+        # the split feature compare its value with the threshold
+        r = split[level_node]
+        rows_s, node_s = node_rows[r], level_node[r]
+        side[rows_s] = default_left[node_s]
+        q = np.flatnonzero(split)
+        ranges = [(tm.col_ptr[j], tm.col_ptr[j + 1])
+                  for j in feature[q].tolist()]
+        col_rows = np.concatenate([tm.col_rows[a:b] for a, b in ranges])
+        col_values = np.concatenate([tm.col_values[a:b] for a, b in ranges])
+        col_node = np.repeat(q, [b - a for a, b in ranges])
+        mine = node_of_row[col_rows] == col_node
+        side[col_rows[mine]] = col_values[mine] < threshold[col_node[mine]]
+        go_left = side[rows_s]
+        n_left = np.bincount(node_s[go_left], minlength=n_nodes)
+        # a split that sends every row one way leaves its node a leaf
+        split &= (n_left > 0) & (n_left < counts)
+        splits.append((split, feature, threshold, default_left))
+        if not split.any():
+            break
+        keep = split[node_s]
+        rows_s, go_left = rows_s[keep], go_left[keep]
+        node_rows = np.concatenate([rows_s[go_left], rows_s[~go_left]])
+        counts = np.concatenate([n_left[split], (counts - n_left)[split]])
+    return _depth_first(sums, splits, params)
 
 
-def build_linear_delta(g, h, data: SparseDataset, params: LinearHyperParams,
-                       current_bias=0.0, current_weights=None) -> LinearDelta:
+def _depth_first(sums, splits, params):
+    """The tree `build_tree` grew, from its levels' node sums and splits,
+    numbered depth-first: a split node's children take the next two free ids
+    when it is reached in preorder, so `left` points forward."""
+    sizes = [len(G) for G, _ in sums]
+    starts = np.cumsum([0] + sizes)
+    n_total = int(starts[-1])
+    split = np.zeros(n_total, dtype=bool)
+    feature = np.full(n_total, -1, dtype=np.int64)
+    threshold = np.zeros(n_total)
+    default_left = np.zeros(n_total, dtype=bool)
+    if splits:
+        # levels past the last one that split hold leaves only; a node whose
+        # split was found but sent every row one way is a leaf too
+        grown = starts[len(splits)]
+        s, f, t, dl = (np.concatenate(arrays) for arrays in zip(*splits))
+        split[:grown] = s
+        feature[:grown] = np.where(s, f, -1)
+        threshold[:grown] = np.where(s, t, 0.0)
+        default_left[:grown] = s & dl
+    # the left child of a split node in level order: the next level lists
+    # the children of its level's split nodes, lefts first
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    before = np.cumsum(split) - split
+    n_split = np.add.reduceat(split, starts[:-1])[level]
+    left_child = (starts[1:][level] + before
+                  - before[starts[:-1]][level]).tolist()
+    gap = n_split.tolist()
+    is_split = split.tolist()
+    ids = [0] * n_total
+    left = [-1] * n_total
+    next_id = 1
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        if is_split[x]:
+            c = left_child[x]
+            ids[c], ids[c + gap[x]] = next_id, next_id + 1
+            left[x] = next_id
+            next_id += 2
+            stack.append(c + gap[x])
+            stack.append(c)
+
+    G = np.concatenate([G for G, _ in sums])
+    H = np.concatenate([H for _, H in sums])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = H + params.reg_lambda
+        value = np.where(denom <= 0, 0.0, -G / denom)
+    if params.max_delta_step > 0:
+        value = np.clip(value, -params.max_delta_step, params.max_delta_step)
+    # a tree that found no structure at all is a no-op: a bare root leaf
+    # would only shift the global intercept, which is the base score's job
+    value[split] = 0.0
+    value[0] = 0.0
+    ids = np.array(ids)
+    tree = DecisionTree(feature=np.empty(n_total, dtype=np.int64),
+                        threshold=np.empty(n_total),
+                        default_left=np.empty(n_total, dtype=bool),
+                        left=np.empty(n_total, dtype=np.int64),
+                        value=np.empty(n_total))
+    tree.feature[ids] = feature
+    tree.threshold[ids] = threshold
+    tree.default_left[ids] = default_left
+    tree.left[ids] = left
+    tree.value[ids] = value
+    return tree
+
+
+class _Columns:
+    """Training view for gblinear: the stored values column by column.
+
+    `columns` lists (j, lo, hi, rows, values) for each column j that stores
+    values, `lo:hi` being its range in the CSC arrays `indices` and `data`.
+    """
+
+    def __init__(self, dataset: SparseDataset):
+        csc = dataset.to_csc()
+        self.n_rows = dataset.n_rows
+        self.n_cols = dataset.n_cols
+        self.indices = csc.indices
+        self.data = csc.data
+        ptr = csc.indptr.tolist()
+        self.columns = [(j, lo, hi, csc.indices[lo:hi], csc.data[lo:hi])
+                        for j, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:]))
+                        if hi > lo]
+
+    def hess_sums(self, hv):
+        """Each listed column's sum of h * v * v over its stored values v,
+        given `hv`, the hessian h of each stored value's row."""
+        hvv = (hv * self.data) * self.data
+        return [float(hvv[lo:hi].sum()) for _, lo, hi, _, _ in self.columns]
+
+
+def build_linear_delta(g, h, data, params: LinearHyperParams,
+                       current_bias=0.0, current_weights=None,
+                       col_hess=None) -> LinearDelta:
     """One coordinate-descent sweep on the second-order loss approximation.
 
     Each coordinate solves for the new total weight u:
         u = soft(H_j * w_j - G_j, alpha) / (H_j + lambda)
     with the running raw-score delta kept consistent within the sweep. The
-    bias uses lambda_bias and carries no L1 term.
+    bias uses lambda_bias and carries no L1 term. `data` is a SparseDataset
+    or its `_Columns`. `col_hess`, if given, is the columns' `hess_sums` for
+    this `h`, which a caller whose hessian never changes computes once.
     """
-    csc = data.to_csc()
+    cols = data if isinstance(data, _Columns) else _Columns(data)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if current_weights is None:
-        current_weights = np.zeros(data.n_cols)
-    s = np.zeros(data.n_rows)  # raw-score delta accumulated during the sweep
+        current_weights = np.zeros(cols.n_cols)
+    weights = np.asarray(current_weights, dtype=float).tolist()
+    s = np.zeros(cols.n_rows)  # raw-score delta accumulated during the sweep
 
     Gb, Hb = g.sum(), h.sum()
     denom = Hb + params.reg_lambda_bias
@@ -345,20 +516,20 @@ def build_linear_delta(g, h, data: SparseDataset, params: LinearHyperParams,
     if db != 0.0:
         s += db
 
-    dw = np.zeros(data.n_cols)
-    for j in range(data.n_cols):
-        lo, hi = csc.indptr[j], csc.indptr[j + 1]
-        cr, cv = csc.indices[lo:hi], csc.data[lo:hi]
-        if len(cr) == 0:
-            continue
-        Gj = float(cv @ (g[cr] + h[cr] * s[cr]))
-        Hj = float((h[cr] * cv * cv).sum())
-        denom = Hj + params.reg_lambda
+    # everything but the running delta s is fixed for the sweep
+    gv, hv = g[cols.indices], h[cols.indices]
+    if col_hess is None:
+        col_hess = cols.hess_sums(hv)
+    lam, alpha = params.reg_lambda, params.reg_alpha
+    dw = np.zeros(cols.n_cols)
+    for (j, lo, hi, cr, cv), Hj in zip(cols.columns, col_hess):
+        Gj = float(cv @ (gv[lo:hi] + hv[lo:hi] * s[cr]))
+        denom = Hj + lam
         if denom <= 0:
             continue
-        w = current_weights[j]
+        w = weights[j]
         z = Hj * w - Gj
-        u = np.sign(z) * max(abs(z) - params.reg_alpha, 0.0) / denom
+        u = math.copysign(max(abs(z) - alpha, 0.0), z) / denom
         d = u - w
         if d != 0.0:
             s[cr] += d * cv
@@ -527,7 +698,14 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
     valid_mlab = _metric_labels(valid, loss, label_mapping)
 
     rng = np.random.default_rng(seed)
-    tm = _TrainMatrix(train) if booster == GBTREE else None
+    if booster == GBTREE:
+        tm = _TrainMatrix(train)
+    else:
+        cols = _Columns(train)
+        # the quadratic loss's hessian is 1 everywhere, so its column sums
+        # never change
+        col_hess = (cols.hess_sums(np.ones(len(cols.data)))
+                    if loss == QUADRATIC else None)
     raw_tr = np.full(train.n_rows, base)
     raw_va = np.full(valid.n_rows, base)
 
@@ -559,7 +737,8 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
             out_tr = predict_tree(learner, ValueLookup(train, split_on))
             out_va = predict_tree(learner, ValueLookup(valid, split_on))
         else:
-            learner = build_linear_delta(g, h, train, params, cum_b, cum_w)
+            learner = build_linear_delta(g, h, cols, params, cum_b, cum_w,
+                                         col_hess)
             out_tr = learner.bias + train.to_csr().dot(learner.weights)
             out_va = learner.bias + valid.to_csr().dot(learner.weights)
             cum_b += lr * learner.bias

@@ -1,16 +1,19 @@
 """Independent from-definition oracles used by the test suite.
 
-Everything here is written with plain Python loops straight from the metric
-and split-gain definitions, deliberately sharing no code (and no vectorized
-shortcuts) with the package implementation. The tie rule for the rank-based
-early-retrieval metrics — a stable shuffle seeded with 902119 before the
-descending sort — is part of the documented metric contract and is
-re-derived here independently.
+Everything here but the last section is written with plain Python loops
+straight from the metric and split-gain definitions, deliberately sharing no
+code (and no vectorized shortcuts) with the package implementation. The last
+section keeps the package's previous layer-1 builders, which the current ones
+must match bit for bit. The tie rule for the rank-based early-retrieval
+metrics — a stable shuffle seeded with 902119 before the descending sort — is
+part of the documented metric contract and is re-derived here independently.
 """
 import math
 import random
 
 import numpy as np
+
+from cbforest.gbm import DecisionTree, LinearDelta, _TrainMatrix
 
 TIE_SEED = 902119
 
@@ -335,3 +338,213 @@ def elastic_net_objective_oracle(beta, X, y, lambda1, lambda2,
     pen = list(beta[1:]) + ([beta[0]] if penalize_intercept else [])
     terms += [lambda2 * c * c + lambda1 * abs(c) for c in pen]
     return math.fsum(terms)
+
+
+# ---------------------------------------------------------------------------
+# Previous layer-1 builders, kept as bit-for-bit references. Unlike the
+# oracles above they are vectorized: they are the per-node depth-first tree
+# builder and the per-column gblinear sweep that the package replaced, and
+# its tests require the replacements to return the same bits.
+
+
+def _leaf_weight_oracle(G, H, params):
+    denom = H + params.reg_lambda
+    if denom <= 0:
+        return 0.0
+    w = -G / denom
+    if params.max_delta_step > 0:
+        w = float(np.clip(w, -params.max_delta_step, params.max_delta_step))
+    return float(w)
+
+
+def _best_split_oracle(rows, g, h, G, H, feat_mask, tm, params):
+    """Best (gain, feature, split_value, default_left) over allowed features.
+
+    G, H and count are summed per bin over the node's stored values, in row
+    order. Each allowed feature present in the node offers these candidates:
+    present-right/absent-left at its smallest present value, if some node
+    rows lack the feature; and at each midpoint between adjacent present
+    values, absent rows on the left and, if some rows lack it, on the right.
+
+    Returns None when no split has positive gain. Ties resolve to the lowest
+    feature index, then lowest split value, then default-left.
+    """
+    lam = params.reg_lambda
+    mcw = params.min_child_weight
+    gamma = params.gamma
+    starts = tm.indptr[rows]
+    lens = tm.indptr[rows + 1] - starts
+    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
+                                            lens)
+    bins = tm.bin_of[pos]
+    n_bins = len(tm.bin_feature)
+    Gb = np.bincount(bins, weights=np.repeat(g[rows], lens), minlength=n_bins)
+    Hb = np.bincount(bins, weights=np.repeat(h[rows], lens), minlength=n_bins)
+    Cb = np.bincount(bins, minlength=n_bins)
+
+    b = np.flatnonzero((Cb > 0) & feat_mask[tm.bin_feature])
+    if b.size == 0:
+        return None
+    feat, vals, Gb, Hb = tm.bin_feature[b], tm.bin_value[b], Gb[b], Hb[b]
+    is_first = np.ones(len(b), dtype=bool)
+    is_first[1:] = feat[1:] != feat[:-1]
+    first = np.flatnonzero(is_first)
+    # reduceat returns a lone bin's sum unchanged, so a feature with one
+    # present value in the node keeps its row-order sums bit for bit
+    Gp = np.add.reduceat(Gb, first)
+    Hp = np.add.reduceat(Hb, first)
+    missing = np.add.reduceat(Cb[b], first) < len(rows)
+    Gm, Hm = G - Gp, H - Hp
+
+    a = np.flatnonzero(missing)
+    # bins followed by another bin of the same feature; s is their feature slot
+    m = np.flatnonzero(~is_first[1:])
+    s = (np.cumsum(is_first) - 1)[m]
+    cg = np.zeros(len(b) + 1)
+    ch = np.zeros(len(b) + 1)
+    np.cumsum(Gb, out=cg[1:])
+    np.cumsum(Hb, out=ch[1:])
+    GLp = cg[m + 1] - cg[first[s]]
+    HLp = ch[m + 1] - ch[first[s]]
+    right = missing[s]
+    GLm, HLm = GLp + Gm[s], HLp + Hm[s]
+
+    # candidates: present-right/absent-left, then midpoints with absent rows
+    # left, then midpoints with absent rows right
+    lo = np.concatenate([first[a], m, m[right]])
+    kind = np.repeat([0, 1, 2], [len(a), len(m), int(right.sum())])
+    GL = np.concatenate([Gm[a], GLm, GLp[right]])
+    HL = np.concatenate([Hm[a], HLm, HLp[right]])
+    GR = np.concatenate([Gp[a], G - GLm, G - GLp[right]])
+    HR = np.concatenate([Hp[a], H - HLm, H - HLp[right]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
+                        - G * G / (H + lam)) - gamma)
+    ok = (HL >= mcw) & (HR >= mcw) & (gains > 0)
+    if not ok.any():
+        return None
+    best = gains[ok].max()
+    # bins ascend by (feature, value), so 3 * lo + kind orders candidates by
+    # feature, then threshold, then default-left
+    tied = np.flatnonzero(ok & (gains == best))
+    i = tied[np.argmin(3 * lo[tied] + kind[tied])]
+    j = lo[i]
+    split_value = vals[j] if kind[i] == 0 else (vals[j] + vals[j + 1]) / 2.0
+    return float(best), int(feat[j]), float(split_value), bool(kind[i] != 2)
+
+
+def depth_first_tree_oracle(g, h, data, params, rng, rows=None):
+    """The depth-first builder `build_tree` replaced, kept verbatim but for
+    its name, the finder it calls and the column read inlined from the
+    removed `_TrainMatrix.col`."""
+    tm = data if isinstance(data, _TrainMatrix) else _TrainMatrix(data)
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    n = tm.n_rows
+    if rows is None:
+        rows = np.arange(n)
+
+    # column sampling is drawn up front so the draw sequence does not depend
+    # on the shape the tree happens to take
+    if params.colsample_bytree < 1.0:
+        k = max(1, int(round(params.colsample_bytree * tm.n_cols)))
+        tree_feats = np.sort(rng.choice(tm.n_cols, size=k, replace=False))
+    else:
+        tree_feats = np.arange(tm.n_cols)
+    level_masks = []
+    for _ in range(params.max_depth):
+        mask = np.zeros(tm.n_cols, dtype=bool)
+        if params.colsample_bylevel < 1.0:
+            k = max(1, int(round(params.colsample_bylevel * len(tree_feats))))
+            mask[rng.choice(tree_feats, size=k, replace=False)] = True
+        else:
+            mask[tree_feats] = True
+        level_masks.append(mask)
+
+    side = np.empty(n, dtype=bool)
+    # node i's entries; children are appended as a pair when their parent
+    # splits, so `left` only ever points forward
+    feature, threshold, default_left, left, value = [-1], [0.0], [False], [-1], [0.0]
+
+    def grow(i, node_rows, depth):
+        G = float(g[node_rows].sum())
+        H = float(h[node_rows].sum())
+        best = None
+        if depth < params.max_depth and len(node_rows) >= 2:
+            best = _best_split_oracle(node_rows, g, h, G, H,
+                                      level_masks[depth], tm, params)
+        if best is not None:
+            _, j, split_value, dl = best
+            lo, hi = tm.col_ptr[j], tm.col_ptr[j + 1]
+            cr, cv = tm.col_rows[lo:hi], tm.col_values[lo:hi]
+            side[node_rows] = dl
+            side[cr] = cv < split_value
+            left_mask = side[node_rows]
+            left_rows = node_rows[left_mask]
+            right_rows = node_rows[~left_mask]
+            if len(left_rows) and len(right_rows):
+                c = len(left)
+                feature[i], threshold[i], default_left[i], left[i] = (
+                    j, split_value, dl, c)
+                for lst, v in ((feature, -1), (threshold, 0.0),
+                               (default_left, False), (left, -1), (value, 0.0)):
+                    lst.extend((v, v))
+                grow(c, left_rows, depth + 1)
+                grow(c + 1, right_rows, depth + 1)
+                return
+        # a tree that found no structure at all is a no-op: a bare root leaf
+        # would only shift the global intercept, which is the base score's job
+        value[i] = 0.0 if depth == 0 else _leaf_weight_oracle(G, H, params)
+
+    grow(0, np.asarray(rows, dtype=np.int64), 0)
+    return DecisionTree(feature=np.array(feature, dtype=np.int64),
+                        threshold=np.array(threshold, dtype=np.float64),
+                        default_left=np.array(default_left, dtype=bool),
+                        left=np.array(left, dtype=np.int64),
+                        value=np.array(value, dtype=np.float64))
+
+
+def column_sweep_oracle(g, h, data, params, current_bias=0.0,
+                        current_weights=None):
+    """The gblinear sweep `build_linear_delta` replaced, kept verbatim but for
+    its name: one coordinate-descent sweep on the second-order loss
+    approximation.
+
+    Each coordinate solves for the new total weight u:
+        u = soft(H_j * w_j - G_j, alpha) / (H_j + lambda)
+    with the running raw-score delta kept consistent within the sweep. The
+    bias uses lambda_bias and carries no L1 term.
+    """
+    csc = data.to_csc()
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if current_weights is None:
+        current_weights = np.zeros(data.n_cols)
+    s = np.zeros(data.n_rows)  # raw-score delta accumulated during the sweep
+
+    Gb, Hb = g.sum(), h.sum()
+    denom = Hb + params.reg_lambda_bias
+    new_bias = (Hb * current_bias - Gb) / denom if denom > 0 else current_bias
+    db = new_bias - current_bias
+    if db != 0.0:
+        s += db
+
+    dw = np.zeros(data.n_cols)
+    for j in range(data.n_cols):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        cr, cv = csc.indices[lo:hi], csc.data[lo:hi]
+        if len(cr) == 0:
+            continue
+        Gj = float(cv @ (g[cr] + h[cr] * s[cr]))
+        Hj = float((h[cr] * cv * cv).sum())
+        denom = Hj + params.reg_lambda
+        if denom <= 0:
+            continue
+        w = current_weights[j]
+        z = Hj * w - Gj
+        u = np.sign(z) * max(abs(z) - params.reg_alpha, 0.0) / denom
+        d = u - w
+        if d != 0.0:
+            s[cr] += d * cv
+            dw[j] = d
+    return LinearDelta(bias=float(db), weights=dw)

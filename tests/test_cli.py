@@ -1,8 +1,10 @@
 """CLI surface, run-config schema, and archive persistence tests."""
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +336,35 @@ def test_train_rerun_byte_identical(cli_train, tiny_dataset, tmp_path):
             == (first_out / "cv_scores.tsv").read_bytes())
     assert ((tmp_path / "metrics.tsv").read_bytes()
             == (first_out / "metrics.tsv").read_bytes())
+
+
+# SHA-256 of what `cbforest train` writes for the tiny fixture. A change that
+# moves a bit of a trained model shows here; one that changes the numbers on
+# purpose records the new digests with the reason. They hold for the float
+# arithmetic of the numpy and scipy builds the suite runs on (numpy 2.4.6,
+# scipy 1.17.1, x86-64).
+TRAIN_DIGESTS = {
+    "model.cbf":
+        "f2f74c553739dd840f659d39b04787e8be320b5ad75dc92040492a96b6d783d9",
+    "cv_scores.tsv":
+        "c2298303aa9a9fd0247b79e49128eb06af44f9562d0665552d6937f86af2e012",
+    "metrics.tsv":
+        "629e1a010406ce4116c41320390220d5b1dbfd945d35d2dafadb102a4e3da28b",
+}
+
+
+def test_train_outputs_match_recorded_digests(tiny_dataset, tmp_path,
+                                              monkeypatch):
+    # relative paths, since the archive stores the run config
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(tiny_dataset["path"], "train.svm")
+    cfg = tiny_config_dict(dict(tiny_dataset, path="train.svm", dir="out"))
+    assert cfg["workers"] == 1
+    Path("config.json").write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", "config.json"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in TRAIN_DIGESTS}
+    assert digests == TRAIN_DIGESTS
 
 
 def test_train_env_seed_override_changes_results(cli_train, tiny_dataset,

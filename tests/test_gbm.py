@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from _oracles import boosted_trees_oracle, exact_greedy_tree_oracle
+from _oracles import (boosted_trees_oracle, column_sweep_oracle,
+                      depth_first_tree_oracle, exact_greedy_tree_oracle)
+from cbforest import gbm
 from cbforest.data import LabelMapping, SparseDataset, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearHyperParams,
-                          TrainingError, TreeHyperParams, build_linear_delta,
-                          build_tree, export_gbm, grad_hess, lookup_blocks,
-                          predict_gbm, train_gbm)
+                          TrainingError, TreeHyperParams, _Columns,
+                          build_linear_delta, build_tree, export_gbm,
+                          grad_hess, lookup_blocks, predict_gbm, train_gbm)
 from cbforest.metrics import MetricSpec, logloss
 
 # frozen with an independent high-precision evaluator (mpmath, 30 digits)
@@ -253,6 +255,146 @@ def test_build_tree_matches_exact_greedy_oracle():
         assert _nested(tree) == expected, f"case {case}"
         splits += tree.n_leaves() - 1
     assert splits > 300
+
+
+def _values(r, kind, size):
+    """`size` stored values of one column kind."""
+    if kind == "real":
+        return np.round(r.normal(size=size), 1)
+    if kind == "raw":
+        return r.normal(size=size)
+    if kind == "zero":   # stored zeros beside other present values
+        return r.choice([0.0, 0.0, 1.0, 2.5], size=size)
+    return r.choice(COLUMN_VALUES[kind], size=size)
+
+
+def _gradients(r, n):
+    """Integer-valued, logistic or quadratic g/h for n rows."""
+    kind = r.choice(["integer", "logistic", "logistic", "quadratic"])
+    if kind == "integer":
+        return (r.integers(-3, 4, size=n).astype(float),
+                r.integers(1, 4, size=n).astype(float))
+    y = (r.random(n) < 0.3).astype(float)
+    if kind == "logistic":
+        return grad_hess(LOGISTIC, y, r.normal(scale=2.0, size=n))
+    return grad_hess(QUADRATIC, y + r.normal(size=n), r.normal(size=n))
+
+
+def _builder_case(r, case):
+    """A random build_tree input: data, g/h, params and a row subset."""
+    n = int(r.integers(2, 120))
+    p = int(r.integers(256, 300)) if case % 50 == 7 else int(r.integers(1, 16))
+    kinds = ["binary", "count", "negative", "zero", "real", "raw"]
+    col_kinds = r.choice(kinds, size=p)
+    density = float(r.choice([0.05, 0.2, 0.5, 0.9]))
+    present = r.random((n, p)) < density
+    X = np.zeros((n, p))
+    for j in range(p):
+        X[:, j] = _values(r, col_kinds[j], n)
+    rows = [[(j, float(X[i, j])) for j in np.flatnonzero(present[i])]
+            for i in range(n)]
+    g, h = _gradients(r, n)
+    params = TreeHyperParams(
+        max_depth=int(r.integers(1, 7)),
+        reg_lambda=float(r.choice([0.0, 1.0, 2.0])),
+        gamma=float(r.choice([0.0, 0.0, 0.05, 0.5])),
+        min_child_weight=float(r.choice([0.0, 0.1, 1.0, 3.0])),
+        max_delta_step=float(r.choice([0.0, 0.0, 0.3])),
+        colsample_bytree=float(r.choice([1.0, 0.7])),
+        colsample_bylevel=float(r.choice([1.0, 0.5])))
+    subset = (np.sort(r.choice(n, size=max(2, int(r.uniform(0.3, 0.9) * n)),
+                               replace=False))
+              if r.random() < 0.4 else None)
+    return SparseDataset.from_rows(rows, n_cols=p), g, h, params, subset
+
+
+def _tie_case():
+    """272 rows of 34 real features (N(0, 1) rounded to 0.1) under logistic
+    g/h and reg_lambda=0. At a depth-2 node of 32 rows, feature 14
+    (threshold -0.85, default right) and feature 32 (threshold 0.6) split
+    the rows alike, so their gains tie in exact arithmetic; the float gains
+    differ in the last bit and the tree splits on feature 32."""
+    r = np.random.default_rng(0)
+    rows = [[(j, float(np.round(r.normal(), 1))) for j in range(34)
+             if r.random() < 0.3] for _ in range(272)]
+    raw = r.normal(size=272)
+    y = (r.random(272) < 0.3).astype(float)
+    g, h = grad_hess(LOGISTIC, y, raw)
+    params = TreeHyperParams(max_depth=3, reg_lambda=0.0, min_child_weight=0.0)
+    return SparseDataset.from_rows(rows, n_cols=34), g, h, params, None
+
+
+def _assert_same_tree(case, ds, g, h, params, subset):
+    rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+    tree = build_tree(g, h, ds, params, rng, rows=subset)
+    ref = depth_first_tree_oracle(g, h, ds, params, ref_rng, rows=subset)
+    for name in DecisionTree.ARRAYS:
+        a, b = getattr(tree, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+            f"case {case}: {name}"
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+    return tree
+
+
+@pytest.mark.parametrize("hist_cells", [gbm.HIST_CELLS, 40],
+                         ids=["one_batch", "node_batches"])
+def test_build_tree_matches_depth_first_builder(hist_cells, monkeypatch):
+    """The level-wise builder returns the previous depth-first builder's
+    arrays bit for bit and leaves the RNG where it left it. A small
+    HIST_CELLS makes each level search its nodes in several batches."""
+    monkeypatch.setattr(gbm, "HIST_CELLS", hist_cells)
+    r = np.random.default_rng(20261018)
+    splits = wide = 0
+    for case in range(320):
+        ds, g, h, params, subset = _builder_case(r, case)
+        tree = _assert_same_tree(case, ds, g, h, params, subset)
+        splits += tree.n_leaves() - 1
+        wide += ds.n_cols >= 256
+    assert splits > 1000 and wide >= 5
+    tree = _assert_same_tree(0, *_tie_case())
+    assert 32 in tree.feature.tolist()
+
+
+def _linear_case(r, case):
+    n = int(r.integers(1, 60))
+    p = int(r.integers(1, 12))
+    X = np.where(r.random((n, p)) < 0.5,
+                 r.choice([1.0, 2.0, -0.5, 0.3, 1e-3], size=(n, p))
+                 * r.normal(size=(n, p)), 0.0)
+    X[:, r.random(p) < 0.2] = 0.0     # columns that store nothing
+    ds = dataset_from_dense(X)
+    loss = LOGISTIC if case % 2 else QUADRATIC
+    y = (r.random(n) < 0.4).astype(float)
+    g, h = grad_hess(loss, y, r.normal(size=n))
+    params = LinearHyperParams(
+        reg_lambda=float(r.choice([0.0, 0.5, 2.0])),
+        reg_alpha=float(r.choice([0.0, 0.0, 0.05, 1.0])),
+        reg_lambda_bias=float(r.choice([0.0, 1.0])))
+    bias = float(r.choice([0.0, r.normal()]))
+    weights = (None if case % 3 == 0
+               else np.where(r.random(p) < 0.6, r.normal(size=p), 0.0))
+    return ds, loss, g, h, params, bias, weights
+
+
+def test_linear_delta_matches_column_sweep():
+    """The hoisted sweep returns the previous sweep's weights and bias bit
+    for bit, on both losses, with the quadratic loss's fixed column hessian
+    sums computed once as train_gbm does."""
+    r = np.random.default_rng(777)
+    zeroed = 0
+    for case in range(300):
+        ds, loss, g, h, params, bias, weights = _linear_case(r, case)
+        cols = _Columns(ds)
+        col_hess = (cols.hess_sums(np.ones(len(cols.data)))
+                    if loss == QUADRATIC else None)
+        d = build_linear_delta(g, h, cols, params, bias, weights, col_hess)
+        ref = column_sweep_oracle(g, h, ds, params, bias, weights)
+        assert d.weights.tobytes() == ref.weights.tobytes(), f"case {case}"
+        assert d.bias == ref.bias, f"case {case}"
+        # a column L1 left at zero although its gradient is not zero
+        zeroed += params.reg_alpha > 0 and weights is None and bool(
+            ((d.weights == 0) & (ds.to_csc().getnnz(axis=0) > 0)).any())
+    assert zeroed >= 10
 
 
 def test_build_tree_rows_without_values():
