@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .elastic_net import MAX_ITER, TOL
@@ -211,40 +211,11 @@ class RunConfig:
     def to_dict(self):
         """JSON-serializable snapshot, sufficient to re-run identically."""
         def metric_d(m):
-            out = {"kind": m.kind}
-            if m.t is not None:
-                out["t"] = m.t
-            if m.alpha is not None:
-                out["alpha"] = m.alpha
-            if m.n_bins != 10:
-                out["n_bins"] = m.n_bins
-            return out
-        return {
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "test_fraction": self.test_fraction,
-            "label": {
-                "kinds": list(self.label.kinds),
-                "file_label": self.label.file_label,
-                "threshold": self.label.threshold,
-                "direction": self.label.direction,
-                "csv_label_column": self.label.csv_label_column,
-            },
-            "H": self.H,
-            "K": self.K,
-            "seed": self.seed,
-            "stop_metric": metric_d(self.stop_metric),
-            "selection_metric": metric_d(self.selection_metric),
-            "booster_mix": self.booster_mix,
-            "patience": self.patience,
-            "max_rounds": self.max_rounds,
-            "sampling_ranges": self.sampling_ranges,
-            "layer2": {
-                "max_iter": self.layer2.max_iter,
-                "tol": self.layer2.tol,
-                "penalize_intercept": self.layer2.penalize_intercept,
-                "refit": self.layer2.refit,
-            },
-            "workers": self.workers,
-            "output_dir": self.output_dir,
-        }
+            # only the parameters a config would set
+            return {k: v for k, v in asdict(m).items()
+                    if v is not None and (k, v) != ("n_bins", 10)}
+        out = asdict(self)
+        out["label"]["kinds"] = list(self.label.kinds)
+        out["stop_metric"] = metric_d(self.stop_metric)
+        out["selection_metric"] = metric_d(self.selection_metric)
+        return out

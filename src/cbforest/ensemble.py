@@ -3,6 +3,7 @@ base-layer training producing out-of-fold score columns, dual-label fusion,
 elastic-net candidate sweep, and two-stage prediction."""
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 #   ("int", lo, hi)                uniform integer, inclusive
 #   ("zero_or_log", p0, lo, hi)    0 with probability p0, else log-uniform
 #   ("zero_or_uniform", p0, lo, hi)
+# A sample draws its group's parameters in the order listed here, which
+# overrides keep.
 DEFAULT_RANGES = {
     "tree": {
         "learning_rate": ("log", 0.01, 0.3),
@@ -49,13 +52,6 @@ DEFAULT_RANGES = {
         "lambda2": ("log", 1e-6, 1.0),
     },
 }
-
-_TREE_ORDER = ("learning_rate", "max_depth", "min_child_weight", "gamma",
-               "subsample", "colsample_bytree", "colsample_bylevel",
-               "reg_lambda", "reg_alpha", "max_delta_step")
-_LINEAR_ORDER = ("reg_lambda", "reg_alpha", "reg_lambda_bias", "learning_rate")
-_LAYER2_ORDER = ("lambda1", "lambda2")
-
 
 def derive_seed(*keys) -> int:
     """Deterministic child seed from a tuple of integer keys."""
@@ -93,6 +89,18 @@ def _draw(rng, spec):
     raise ConfigError(f"unknown sampling range kind {kind!r}")
 
 
+def _draw_unseen(rng, ranges, make, seen, what):
+    """`make(**values)` of values drawn from `ranges` in their order, drawn
+    again while the result is in `seen`, which it is then added to."""
+    for _ in range(1000):
+        sample = make(**{name: _draw(rng, spec) for name, spec in ranges.items()})
+        if sample not in seen:
+            seen.add(sample)
+            return sample
+    raise RuntimeError(f"could not draw a unique {what} after 1000 attempts; "
+                       "sampling ranges are too narrow")
+
+
 @dataclass(frozen=True)
 class HyperParamSample:
     index: int
@@ -118,21 +126,10 @@ def sample_hyperparams(H, seed, booster_mix="alternate",
             booster = GBTREE if i % 2 == 0 else GBLINEAR
         else:
             booster = booster_mix
-        for attempt in range(1001):
-            if attempt == 1000:
-                raise RuntimeError(
-                    "could not draw a unique hyper-parameter sample after "
-                    "1000 attempts; sampling ranges are too narrow")
-            if booster == GBTREE:
-                vals = {n: _draw(rng, merged["tree"][n]) for n in _TREE_ORDER}
-                params = TreeHyperParams(**vals)
-            else:
-                vals = {n: _draw(rng, merged["linear"][n]) for n in _LINEAR_ORDER}
-                params = LinearHyperParams(**vals)
-            key = (booster, params)
-            if key not in seen:
-                seen.add(key)
-                break
+        group, make = (("tree", TreeHyperParams) if booster == GBTREE
+                       else ("linear", LinearHyperParams))
+        params = _draw_unseen(rng, merged[group], make, seen,
+                              "hyper-parameter sample")
         samples.append(HyperParamSample(index=i, booster=booster, params=params))
     return samples
 
@@ -251,22 +248,11 @@ def sample_layer2_params(H, seed, ranges=None, *, max_iter=MAX_ITER, tol=TOL,
                          penalize_intercept=False):
     merged = _merge_ranges(ranges)
     rng = np.random.default_rng(seed)
-    out = []
+    make = functools.partial(ElasticNetParams, max_iter=max_iter, tol=tol,
+                             penalize_intercept=penalize_intercept)
     seen = set()
-    for _ in range(H):
-        for attempt in range(1001):
-            if attempt == 1000:
-                raise RuntimeError("could not draw unique layer-2 candidates")
-            vals = {n: _draw(rng, merged["layer2"][n]) for n in _LAYER2_ORDER}
-            key = tuple(sorted(vals.items()))
-            if key not in seen:
-                seen.add(key)
-                break
-        out.append(ElasticNetParams(lambda1=vals["lambda1"],
-                                    lambda2=vals["lambda2"],
-                                    max_iter=max_iter, tol=tol,
-                                    penalize_intercept=penalize_intercept))
-    return out
+    return [_draw_unseen(rng, merged["layer2"], make, seen, "layer-2 candidate")
+            for _ in range(H)]
 
 
 def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,

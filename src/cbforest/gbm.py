@@ -6,9 +6,9 @@ Trees use second-order (Newton) boosting with the regularized split gain
 and exact enumeration over each feature's distinct present values, done on
 histograms of the binned training values. A tree grows one depth level at a
 time: one pass builds the histograms of all nodes of a level, all their
-candidates are scored together, and the finished tree is numbered
-depth-first. Rows where the split feature is absent follow a per-split
-default direction learned as the side maximizing gain.
+candidates are scored together, and its nodes are numbered breadth-first as
+they grow. Rows where the split feature is absent follow a per-split default
+direction learned as the side maximizing gain.
 
 A linear learner is one coordinate-descent sweep per round over the columns
 of the training matrix, which are sliced once per `train_gbm`.
@@ -89,7 +89,8 @@ class DecisionTree:
     it and `default_left[i]`; any other row goes to node `left[i] + 1`. A leaf
     has `left[i] == -1` and predicts `value[i]`; its other entries are
     placeholders (feature -1, threshold 0.0, default_left False), as is
-    `value` at a split. Both children of a node follow it in id order.
+    `value` at a split. Both children of a node follow it in id order:
+    breadth-first from `build_tree`, depth-first in older archives.
     """
 
     feature: np.ndarray
@@ -288,9 +289,9 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
     their candidates scored together (`_best_splits`), and their rows are
     routed down each split feature's column. A node becomes a leaf at
     `max_depth`, with fewer than two rows, or with no split of positive
-    gain. The tree is then numbered depth-first: a split node's children
-    take the next two free ids when it is reached in preorder, left child
-    first.
+    gain. Nodes are numbered breadth-first: the root is 0, each level follows
+    the one above it left to right, and the k-th split node in id order has
+    children 2k + 1 and 2k + 2.
     """
     tm = data if isinstance(data, _TrainMatrix) else _TrainMatrix(data)
     g = np.asarray(g, dtype=float)
@@ -330,11 +331,14 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
     vh = np.repeat(h[node_rows], lens)
     side = np.empty(n, dtype=bool)
     node_of_row = np.empty(n, dtype=np.int64)
-    # per level: its nodes' G and H, and (split, feature, threshold,
-    # default_left). A level lists the left children of the previous level's
-    # split nodes in order, then their right children; `node_rows` holds its
-    # rows node by node, `counts` rows each.
-    sums, splits = [], []
+    # per level: its nodes' ids, G, H, feature, threshold, default_left and
+    # left, the last four filled in as the level splits. A level lists the
+    # left children of the previous level's split nodes in order, then their
+    # right children; `node_rows` holds its rows node by node, `counts` rows
+    # each.
+    levels = []
+    ids = np.zeros(1, dtype=np.int64)
+    n_ids = 1   # ids given out so far
     counts = np.array([len(node_rows)])
     for depth in range(params.max_depth + 1):
         n_nodes = len(counts)
@@ -343,7 +347,11 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
         bounds = list(zip((ends - counts).tolist(), ends.tolist()))
         G = np.array([gn[s:e].sum() for s, e in bounds])
         H = np.array([hn[s:e].sum() for s, e in bounds])
-        sums.append((G, H))
+        feature = np.full(n_nodes, -1, dtype=np.int64)
+        threshold = np.zeros(n_nodes)
+        default_left = np.zeros(n_nodes, dtype=bool)
+        left = np.full(n_nodes, -1, dtype=np.int64)
+        levels.append((ids, G, H, feature, threshold, default_left, left))
         searched = np.flatnonzero(counts >= 2)
         if depth == params.max_depth or not searched.size:
             break
@@ -353,9 +361,6 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
         node_of_row.fill(n_nodes)
         node_of_row[node_rows] = level_node
         bin_mask = level_masks[depth][tm.bin_feature]
-        feature = np.full(n_nodes, -1, dtype=np.int64)
-        threshold = np.zeros(n_nodes)
-        default_left = np.zeros(n_nodes, dtype=bool)
         for i in range(0, len(searched), batch):
             q = searched[i:i + batch]
             cell = np.full(n_nodes + 1, len(q) * n_bins)
@@ -386,61 +391,24 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
         n_left = np.bincount(node_s[go_left], minlength=n_nodes)
         # a split that sends every row one way leaves its node a leaf
         split &= (n_left > 0) & (n_left < counts)
-        splits.append((split, feature, threshold, default_left))
         if not split.any():
             break
+        # split nodes in id order take the next free ids for their children,
+        # two each, which numbers the tree breadth-first
+        by_id = np.argsort(ids)
+        q = by_id[split[by_id]]
+        left[q] = n_ids + 2 * np.arange(len(q))
+        n_ids += 2 * len(q)
+        ids = np.concatenate([left[split], left[split] + 1])
         keep = split[node_s]
         rows_s, go_left = rows_s[keep], go_left[keep]
         node_rows = np.concatenate([rows_s[go_left], rows_s[~go_left]])
         counts = np.concatenate([n_left[split], (counts - n_left)[split]])
-    return _depth_first(sums, splits, params)
 
-
-def _depth_first(sums, splits, params):
-    """The tree `build_tree` grew, from its levels' node sums and splits,
-    numbered depth-first: a split node's children take the next two free ids
-    when it is reached in preorder, so `left` points forward."""
-    sizes = [len(G) for G, _ in sums]
-    starts = np.cumsum([0] + sizes)
-    n_total = int(starts[-1])
-    split = np.zeros(n_total, dtype=bool)
-    feature = np.full(n_total, -1, dtype=np.int64)
-    threshold = np.zeros(n_total)
-    default_left = np.zeros(n_total, dtype=bool)
-    if splits:
-        # levels past the last one that split hold leaves only; a node whose
-        # split was found but sent every row one way is a leaf too
-        grown = starts[len(splits)]
-        s, f, t, dl = (np.concatenate(arrays) for arrays in zip(*splits))
-        split[:grown] = s
-        feature[:grown] = np.where(s, f, -1)
-        threshold[:grown] = np.where(s, t, 0.0)
-        default_left[:grown] = s & dl
-    # the left child of a split node in level order: the next level lists
-    # the children of its level's split nodes, lefts first
-    level = np.repeat(np.arange(len(sizes)), sizes)
-    before = np.cumsum(split) - split
-    n_split = np.add.reduceat(split, starts[:-1])[level]
-    left_child = (starts[1:][level] + before
-                  - before[starts[:-1]][level]).tolist()
-    gap = n_split.tolist()
-    is_split = split.tolist()
-    ids = [0] * n_total
-    left = [-1] * n_total
-    next_id = 1
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        if is_split[x]:
-            c = left_child[x]
-            ids[c], ids[c + gap[x]] = next_id, next_id + 1
-            left[x] = next_id
-            next_id += 2
-            stack.append(c + gap[x])
-            stack.append(c)
-
-    G = np.concatenate([G for G, _ in sums])
-    H = np.concatenate([H for _, H in sums])
+    ids, G, H, feature, threshold, default_left, left = (
+        np.concatenate(arrays) for arrays in zip(*levels))
+    # a node whose split was found but sent every row one way is a leaf
+    leaf = left < 0
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = H + params.reg_lambda
         value = np.where(denom <= 0, 0.0, -G / denom)
@@ -448,20 +416,13 @@ def _depth_first(sums, splits, params):
         value = np.clip(value, -params.max_delta_step, params.max_delta_step)
     # a tree that found no structure at all is a no-op: a bare root leaf
     # would only shift the global intercept, which is the base score's job
-    value[split] = 0.0
+    value[~leaf] = 0.0
     value[0] = 0.0
-    ids = np.array(ids)
-    tree = DecisionTree(feature=np.empty(n_total, dtype=np.int64),
-                        threshold=np.empty(n_total),
-                        default_left=np.empty(n_total, dtype=bool),
-                        left=np.empty(n_total, dtype=np.int64),
-                        value=np.empty(n_total))
-    tree.feature[ids] = feature
-    tree.threshold[ids] = threshold
-    tree.default_left[ids] = default_left
-    tree.left[ids] = left
-    tree.value[ids] = value
-    return tree
+    at = np.argsort(ids)   # the node at each id
+    return DecisionTree(feature=np.where(leaf, -1, feature)[at],
+                        threshold=np.where(leaf, 0.0, threshold)[at],
+                        default_left=(default_left & ~leaf)[at],
+                        left=left[at], value=value[at])
 
 
 class _Columns:

@@ -125,9 +125,7 @@ def auc_prc(scores, labels) -> float:
     ends = np.append(boundary, len(s) - 1)
     tp_cum = np.cumsum(l)[ends]
     rank_cum = ends + 1.0
-    starts = np.concatenate(([0], ends[:-1] + 1))
     pos_in_group = tp_cum - np.concatenate(([0], tp_cum[:-1]))
-    del starts
     return float((pos_in_group * (tp_cum / rank_cum)).sum() / n_pos)
 
 

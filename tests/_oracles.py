@@ -344,7 +344,9 @@ def elastic_net_objective_oracle(beta, X, y, lambda1, lambda2,
 # Previous layer-1 builders, kept as bit-for-bit references. Unlike the
 # oracles above they are vectorized: they are the per-node depth-first tree
 # builder and the per-column gblinear sweep that the package replaced, and
-# its tests require the replacements to return the same bits.
+# its tests require the replacements to return the same bits. The package
+# numbers a tree's nodes breadth-first, the depth-first builder in preorder;
+# `breadth_first` renumbers the latter's trees for comparison.
 
 
 def _leaf_weight_oracle(G, H, params):
@@ -502,6 +504,25 @@ def depth_first_tree_oracle(g, h, data, params, rng, rows=None):
                         default_left=np.array(default_left, dtype=bool),
                         left=np.array(left, dtype=np.int64),
                         value=np.array(value, dtype=np.float64))
+
+
+def breadth_first(tree):
+    """`tree` with its nodes renumbered breadth-first: the root is 0, each
+    level follows the one above it left to right, and a split node's
+    children take the next two free ids when it is reached."""
+    order = [0]
+    for i in order:   # the list grows as the walk reaches split nodes
+        c = int(tree.left[i])
+        if c >= 0:
+            order += [c, c + 1]
+    new_id = np.empty(len(order), dtype=np.int64)
+    new_id[order] = np.arange(len(order))
+    left = tree.left[order]
+    return DecisionTree(feature=tree.feature[order],
+                        threshold=tree.threshold[order],
+                        default_left=tree.default_left[order],
+                        left=np.where(left >= 0, new_id[left], -1),
+                        value=tree.value[order])
 
 
 def column_sweep_oracle(g, h, data, params, current_bias=0.0,

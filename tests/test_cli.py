@@ -14,10 +14,13 @@ from cbforest.cli import main
 from cbforest.config import ConfigError, Layer2Config, RunConfig
 from cbforest.elastic_net import ElasticNetParams
 from cbforest.ensemble import predict_cbf
-from cbforest.gbm import GBLINEAR, GBTREE
+from cbforest.gbm import (GBLINEAR, GBTREE, QUADRATIC, DecisionTree,
+                          TreeHyperParams, grad_hess, predict_gbm,
+                          predict_tree)
 from cbforest.persistence import (PersistenceError, _payload_checksum,
                                   load_archive, model_to_dict, save_archive)
 
+from _oracles import breadth_first, depth_first_tree_oracle
 from conftest import tiny_config_dict
 
 
@@ -59,6 +62,43 @@ def test_config_round_trip(tiny_dataset):
     cfg = RunConfig.from_dict(tiny_config_dict(tiny_dataset))
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_config_to_dict_of_a_full_config():
+    """Every field appears once; metric specs keep only what is set."""
+    full = {
+        "train_path": "train.svm", "test_path": "test.svm",
+        "test_fraction": 0.2,
+        "label": {"kinds": ["binary", "continuous"],
+                  "file_label": "continuous", "threshold": 1.5,
+                  "direction": "less_is_positive",
+                  "csv_label_column": "activity"},
+        "H": 4, "K": 3, "seed": 7,
+        "stop_metric": {"kind": "ef", "t": 0.05},
+        "selection_metric": {"kind": "reliability_score", "n_bins": 5},
+        "booster_mix": "gbtree", "patience": 10, "max_rounds": 50,
+        "sampling_ranges": {"tree": {"max_depth": ["int", 2, 4]}},
+        "layer2": {"max_iter": 50, "tol": 1e-4, "penalize_intercept": True,
+                   "refit": True},
+        "workers": 2, "output_dir": "out"}
+    assert RunConfig.from_dict(full).to_dict() == full
+    bed = dict(full, selection_metric={"kind": "auc_bed", "alpha": 80.0})
+    assert RunConfig.from_dict(bed).to_dict() == bed
+    minimal = {"train_path": "train.svm", "label": {"kinds": ["binary"]},
+               "H": 1}
+    assert RunConfig.from_dict(minimal).to_dict() == {
+        "train_path": "train.svm", "test_path": None, "test_fraction": 0.1,
+        "label": {"kinds": ["binary"], "file_label": "binary",
+                  "threshold": None, "direction": "greater_is_positive",
+                  "csv_label_column": "label"},
+        "H": 1, "K": 5, "seed": 0,
+        "stop_metric": {"kind": "ef", "t": 0.01},
+        "selection_metric": {"kind": "auc_prc"},
+        "booster_mix": "alternate", "patience": 100, "max_rounds": 2000,
+        "sampling_ranges": {},
+        "layer2": {"max_iter": 1000, "tol": 1e-6,
+                   "penalize_intercept": False, "refit": False},
+        "workers": None, "output_dir": "."}
 
 
 def test_config_missing_path_rejected(tiny_dataset):
@@ -259,6 +299,42 @@ def test_archive_rejects_malformed_trees(tiny_run, tmp_path, edit):
     path = _edited_archive(tiny_run, tmp_path, edit, rechecksum=True)
     with pytest.raises(PersistenceError, match="malformed tree"):
         load_archive(path)
+
+
+def _all_predictions(model, data):
+    """Every base model's predictions, then the stack's, as bytes."""
+    base = [predict_gbm(m, data) for b in model.bundles for row in b.models
+            for m in row]
+    return np.concatenate(base + [predict_cbf(model, data)]).tobytes()
+
+
+def test_depth_first_and_breadth_first_trees_load_and_predict_alike(
+        tiny_run, tmp_path):
+    """Format-3 archives written before trees were numbered breadth-first
+    hold them depth-first; both orders load and predict bit for bit alike."""
+    config, result = tiny_run
+    data = result.train_data
+    r = np.random.default_rng(3)
+    g, h = grad_hess(QUADRATIC, r.normal(size=data.n_rows),
+                     np.zeros(data.n_rows))
+    depth_first = depth_first_tree_oracle(
+        g, h, data, TreeHyperParams(max_depth=4, min_child_weight=0.0),
+        np.random.default_rng(0))
+    trees = [depth_first, breadth_first(depth_first)]
+    assert trees[0].left.tolist() != trees[1].left.tolist()
+    assert (predict_tree(trees[0], data).tobytes()
+            == predict_tree(trees[1], data).tobytes())
+    predictions = []
+    for tree in trees:
+        def put(doc):
+            _first_stored_tree(doc).update(
+                {name: getattr(tree, name).tolist()
+                 for name in DecisionTree.ARRAYS})
+        loaded, _ = load_archive(_edited_archive(tiny_run, tmp_path, put,
+                                                 rechecksum=True))
+        predictions.append(_all_predictions(loaded, data))
+    assert predictions[0] == predictions[1]
+    assert predictions[0] != _all_predictions(result.model, data)
 
 
 def test_archive_rejects_a_missing_field(tiny_run, tmp_path):

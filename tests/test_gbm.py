@@ -1,14 +1,16 @@
 """Boosting-core tests: gradients, tree building, linear sweeps, training."""
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from _oracles import (boosted_trees_oracle, column_sweep_oracle,
-                      depth_first_tree_oracle, exact_greedy_tree_oracle)
-from cbforest import gbm
+from _oracles import (boosted_trees_oracle, breadth_first,
+                      column_sweep_oracle, depth_first_tree_oracle,
+                      exact_greedy_tree_oracle)
+from cbforest import gbm, persistence
 from cbforest.data import LabelMapping, SparseDataset, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearHyperParams,
@@ -327,7 +329,8 @@ def _tie_case():
 def _assert_same_tree(case, ds, g, h, params, subset):
     rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
     tree = build_tree(g, h, ds, params, rng, rows=subset)
-    ref = depth_first_tree_oracle(g, h, ds, params, ref_rng, rows=subset)
+    ref = breadth_first(depth_first_tree_oracle(g, h, ds, params, ref_rng,
+                                                rows=subset))
     for name in DecisionTree.ARRAYS:
         a, b = getattr(tree, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
@@ -340,8 +343,9 @@ def _assert_same_tree(case, ds, g, h, params, subset):
                          ids=["one_batch", "node_batches"])
 def test_build_tree_matches_depth_first_builder(hist_cells, monkeypatch):
     """The level-wise builder returns the previous depth-first builder's
-    arrays bit for bit and leaves the RNG where it left it. A small
-    HIST_CELLS makes each level search its nodes in several batches."""
+    arrays, renumbered breadth-first, bit for bit and leaves the RNG where
+    it left it. A small HIST_CELLS makes each level search its nodes in
+    several batches."""
     monkeypatch.setattr(gbm, "HIST_CELLS", hist_cells)
     r = np.random.default_rng(20261018)
     splits = wide = 0
@@ -353,6 +357,35 @@ def test_build_tree_matches_depth_first_builder(hist_cells, monkeypatch):
     assert splits > 1000 and wide >= 5
     tree = _assert_same_tree(0, *_tie_case())
     assert 32 in tree.feature.tolist()
+
+
+def _assert_breadth_first(tree):
+    """Split nodes in id order have children 1, 2, then 3, 4, and so on."""
+    split = np.flatnonzero(tree.left >= 0)
+    assert tree.left[split].tolist() == (1 + 2 * np.arange(len(split))).tolist()
+
+
+def test_train_gbm_numbers_bushy_trees_breadth_first():
+    """Trees with several split nodes per level are numbered breadth-first,
+    in the model and in its archive."""
+    g_rng = np.random.default_rng(15)
+    X = (g_rng.random((300, 12)) < 0.4) * g_rng.integers(1, 5, (300, 12))
+    z = X[:, 0] - X[:, 1] + 0.5 * X[:, 2] * X[:, 3] + g_rng.normal(0, 0.5, 300)
+    ds = dataset_from_dense(X, continuous=z)
+    mapping = LabelMapping(float(np.median(z)), "greater_is_positive")
+    model = train_gbm(ds, ds, TreeHyperParams(max_depth=5, min_child_weight=0.5,
+                                              subsample=0.8),
+                      QUADRATIC, MetricSpec(kind="auc_roc"),
+                      label_mapping=mapping, patience=100, max_rounds=20,
+                      seed=0)
+    loaded = persistence._gbm_from_dict(
+        json.loads(json.dumps(persistence._gbm_to_dict(model))))
+    assert len(loaded.learners) == model.optimal_round > 0
+    for tree in model.learners + loaded.learners:
+        _assert_breadth_first(tree)
+    # both children of the root split, so depth-first ids would differ
+    assert all(t.left[1] >= 0 and t.left[2] >= 0 for t in model.learners)
+    assert np.array_equal(predict_gbm(loaded, ds), predict_gbm(model, ds))
 
 
 def _linear_case(r, case):
