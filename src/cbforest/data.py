@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,47 +168,166 @@ class SparseDataset:
 
 def _fmt(v):
     v = float(v)
-    return str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+    return (str(int(v)) if math.isfinite(v) and v == int(v) and abs(v) < 1e15
+            else repr(v))
+
+
+def _decode(raw, path):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e.reason} "
+                        f"at byte {e.start}") from None
 
 
 def load_svmlight(path, expect_label, zero_based=True, n_cols=None):
-    """Parse an SVMLight text file (`<label> <idx>:<val> ...` per line)."""
+    """Parse an SVMLight text file (`<label> <idx>:<val> ...` per line).
+
+    The file is read once and parsed in bulk by array operations. A file the
+    bulk parser declines is parsed again line by line, which raises the
+    DataError naming the first offending line, or accepts the rare input only
+    it reads, such as non-ASCII digits.
+    """
     if expect_label not in ("continuous", "binary"):
         raise DataError(f"unknown expect_label {expect_label!r}")
+    with open(path, "rb") as f:
+        raw = f.read()
+    ds = _parse_bulk(raw, expect_label, zero_based, n_cols)
+    if ds is None:
+        ds = _parse_lines(raw, path, expect_label, zero_based, n_cols)
+    return ds
+
+
+# Byte classes of the bulk parser. Blanks are the ASCII characters str.split()
+# separates tokens on, line ends those a text-mode file ends lines on. NUL is
+# declined because numpy's bytes dtype drops trailing NULs, which would read
+# "1\x00" as 1; non-ASCII bytes are declined because only the line loop
+# decodes text.
+_TOKEN, _COLON, _BLANK, _LINE_END, _DECLINED = range(5)
+_BYTE_CLASS = np.full(256, _DECLINED, dtype=np.uint8)
+_BYTE_CLASS[1:128] = _TOKEN
+_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _BLANK
+_BYTE_CLASS[list(b"\n\r")] = _LINE_END
+_BYTE_CLASS[ord(":")] = _COLON
+# Fields are padded to the longest one for the cast, so a longer field
+# declines the file rather than multiply its memory.
+_MAX_FIELD = 64
+
+
+def _cast_fields(buf, start, stop, dtype):
+    """Convert every byte range buf[start[i]:stop[i]] to `dtype` at once.
+
+    numpy casts bytes by the rules of Python's int() and float(), and raises
+    ValueError or OverflowError on a field they reject; so does a field
+    longer than _MAX_FIELD.
+    """
+    width = max(int((stop - start).max(initial=0)), 1)
+    if width > _MAX_FIELD:
+        raise ValueError(f"field longer than {_MAX_FIELD} bytes")
+    chars = np.zeros((start.size, width), dtype=np.uint8)
+    for j in range(width):
+        live = start + j < stop
+        chars[live, j] = buf[start[live] + j]
+    return chars.view(f"S{width}")[:, 0].astype(dtype)
+
+
+def _parse_bulk(raw, expect_label, zero_based, n_cols):
+    """Parse SVMLight bytes with array operations; None declines the file.
+
+    Every check of `_parse_lines` runs here over all tokens at once, the
+    range, order and NaN checks through SparseDataset's validation. Any
+    failure declines the file, so that `_parse_lines` reports it.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cls = _BYTE_CLASS[buf]
+    if (cls == _DECLINED).any():
+        return None
+    edges = np.flatnonzero(np.diff(cls <= _COLON, prepend=False, append=False))
+    start, stop = edges[0::2], edges[1::2]
+    if not start.size:
+        return None
+    # The first token of each non-blank line is its label. A "\r\n" counts
+    # as two line ends here, which only adds a blank line.
+    line = np.searchsorted(np.flatnonzero(cls == _LINE_END), start)
+    is_label = np.ones(start.size, dtype=bool)
+    is_label[1:] = line[1:] != line[:-1]
+    fstart, fstop = start[~is_label], stop[~is_label]
+    # A feature token holds exactly one colon: a second one would end up in
+    # its value, which float() rejects.
+    colons = np.flatnonzero(cls == _COLON)
+    first_colon = np.searchsorted(colons, fstart)
+    if (np.searchsorted(colons, fstop) - first_colon != 1).any():
+        return None
+    colon = colons[first_colon]
+    try:
+        labels = _cast_fields(buf, start[is_label], stop[is_label], np.float64)
+        raw_idx = _cast_fields(buf, fstart, colon, np.int64)
+        values = _cast_fields(buf, colon + 1, fstop, np.float64)
+    except (ValueError, OverflowError):
+        return None
+    off = 0 if zero_based else 1
+    if expect_label == "binary":
+        if not np.isin(labels, (0.0, 1.0)).all():
+            return None
+        kwargs = {"binary_labels": labels.astype(np.int8)}
+    else:
+        kwargs = {"continuous_labels": labels}
+    # Checked before the base is subtracted, which would wrap -2**63 around.
+    if (raw_idx < off).any():
+        return None
+    indices = raw_idx - off
+    if n_cols is None:
+        n_cols = int(indices.max(initial=-1)) + 1
+    # Row r's features follow its label, the (r + 1)-th label token.
+    label_at = np.flatnonzero(is_label)
+    indptr = np.append(label_at - np.arange(label_at.size), indices.size)
+    try:
+        return SparseDataset(label_at.size, n_cols, indptr, indices, values,
+                             **kwargs)
+    except DataError:
+        return None
+
+
+def _parse_lines(raw, path, expect_label, zero_based, n_cols):
+    """Parse SVMLight bytes one line and one token at a time.
+
+    It parses every file `_parse_bulk` declines and is the reference the
+    tests hold the bulk parser to.
+    """
     rows, labels = [], []
     off = 0 if zero_based else 1
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split()
+    lines = io.StringIO(_decode(raw, path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        toks = line.split()
+        try:
+            label = float(toks[0])
+        except ValueError:
+            raise DataError(f"malformed label at line {lineno}: {toks[0]!r}")
+        if expect_label == "binary" and label not in (0.0, 1.0):
+            raise DataError(f"non-binary label {_fmt(label)} at line {lineno}")
+        pairs = []
+        prev = -1
+        for tok in toks[1:]:
             try:
-                label = float(toks[0])
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s) - off
+                val = float(val_s)
             except ValueError:
-                raise DataError(f"malformed label at line {lineno}: {toks[0]!r}")
-            if expect_label == "binary" and label not in (0.0, 1.0):
-                raise DataError(f"non-binary label {_fmt(label)} at line {lineno}")
-            pairs = []
-            prev = -1
-            for tok in toks[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s) - off
-                    val = float(val_s)
-                except ValueError:
-                    raise DataError(f"malformed feature at line {lineno}: {tok!r}")
-                if idx < 0:
-                    raise DataError(f"feature index below base at line {lineno}: {tok!r}")
-                if idx <= prev:
-                    raise DataError(
-                        f"unsorted or duplicate feature index at line {lineno}: {tok!r}")
-                if np.isnan(val):
-                    raise DataError(f"NaN feature value at line {lineno}")
-                prev = idx
-                pairs.append((idx, val))
-            rows.append(pairs)
-            labels.append(label)
+                raise DataError(f"malformed feature at line {lineno}: {tok!r}")
+            if idx < 0:
+                raise DataError(f"feature index below base at line {lineno}: {tok!r}")
+            if idx <= prev:
+                raise DataError(
+                    f"unsorted or duplicate feature index at line {lineno}: {tok!r}")
+            if np.isnan(val):
+                raise DataError(f"NaN feature value at line {lineno}")
+            prev = idx
+            pairs.append((idx, val))
+        rows.append(pairs)
+        labels.append(label)
     if not rows:
         raise DataError(f"no rows in {path}")
     max_idx = max((p[-1][0] for p in rows if p), default=-1)
@@ -224,34 +345,35 @@ def load_svmlight(path, expect_label, zero_based=True, n_cols=None):
 
 def load_csv(path, label_column, feature_columns=None, expect_label="binary"):
     """Load a dense numeric CSV; zero-valued cells become absent features."""
-    with open(path) as f:
-        reader = csv.reader(f)
+    with open(path, "rb") as f:
+        text = _decode(f.read(), path)
+    reader = csv.reader(io.StringIO(text, newline=None))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"no rows in {path}")
+    if label_column not in header:
+        raise DataError(f"missing label column {label_column!r}")
+    if feature_columns is None:
+        feature_columns = [c for c in header if c != label_column]
+    for c in feature_columns:
+        if c not in header:
+            raise DataError(f"missing feature column {c!r}")
+    label_i = header.index(label_column)
+    feat_i = [header.index(c) for c in feature_columns]
+    rows, labels = [], []
+    for lineno, rec in enumerate(reader, start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"no rows in {path}")
-        if label_column not in header:
-            raise DataError(f"missing label column {label_column!r}")
-        if feature_columns is None:
-            feature_columns = [c for c in header if c != label_column]
-        for c in feature_columns:
-            if c not in header:
-                raise DataError(f"missing feature column {c!r}")
-        label_i = header.index(label_column)
-        feat_i = [header.index(c) for c in feature_columns]
-        rows, labels = [], []
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                label = float(rec[label_i])
-                vals = [float(rec[i]) for i in feat_i]
-            except (ValueError, IndexError):
-                raise DataError(f"non-numeric or missing cell at line {lineno}")
-            if expect_label == "binary" and label not in (0.0, 1.0):
-                raise DataError(f"non-binary label {_fmt(label)} at line {lineno}")
-            if any(np.isnan(v) for v in vals):
-                raise DataError(f"NaN feature value at line {lineno}")
-            rows.append([(j, v) for j, v in enumerate(vals) if v != 0.0])
-            labels.append(label)
+            label = float(rec[label_i])
+            vals = [float(rec[i]) for i in feat_i]
+        except (ValueError, IndexError):
+            raise DataError(f"non-numeric or missing cell at line {lineno}")
+        if expect_label == "binary" and label not in (0.0, 1.0):
+            raise DataError(f"non-binary label {_fmt(label)} at line {lineno}")
+        if np.isnan(vals).any():
+            raise DataError(f"NaN feature value at line {lineno}")
+        rows.append([(j, v) for j, v in enumerate(vals) if v != 0.0])
+        labels.append(label)
     if not rows:
         raise DataError(f"no rows in {path}")
     kwargs = {}

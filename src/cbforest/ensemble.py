@@ -412,6 +412,12 @@ def load_run_dataset(path, label_cfg, n_cols=None):
         ds = load_svmlight(path, expect_label=label_cfg.file_label,
                            n_cols=n_cols)
     if label_cfg.file_label == "continuous":
+        # Base models regress on these labels; binarize rejects NaN.
+        infinite = np.flatnonzero(np.isinf(ds.continuous_labels))
+        if infinite.size:
+            row = int(infinite[0])
+            raise DataError(f"infinite label {ds.continuous_labels[row]} "
+                            f"in row {row + 1} of {path}")
         mapping = LabelMapping(label_cfg.threshold, label_cfg.direction)
         ds.binary_labels = binarize(ds.continuous_labels, mapping)
     return ds

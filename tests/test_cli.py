@@ -479,6 +479,45 @@ def test_train_invalid_json_exits_one(tmp_path):
     assert run_cli(["train", "--config", str(cfg_path)]) == 1
 
 
+def _train_on_bytes(tmp_path, raw, cfg):
+    data = tmp_path / "train.svm"
+    data.write_bytes(raw)
+    cfg = dict(cfg, train_path=str(data), output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli(["train", "--config", str(cfg_path)])
+
+
+BINARY_FILE_CONFIG = {"label": {"kinds": ["binary"], "file_label": "binary"},
+                      "H": 1, "K": 2}
+
+
+def test_train_non_finite_binary_label_exits_two(tmp_path, capsys):
+    assert _train_on_bytes(tmp_path, b"inf 0:1\n", BINARY_FILE_CONFIG) == 2
+    assert "non-binary label inf at line 1" in capsys.readouterr().err
+
+
+def test_train_infinite_continuous_label_exits_two(tiny_dataset, tmp_path,
+                                                   capsys):
+    lines = Path(tiny_dataset["path"]).read_bytes().split(b"\n")
+    lines[4] = b" ".join([b"-inf"] + lines[4].split(b" ")[1:])
+    code = _train_on_bytes(tmp_path, b"\n".join(lines),
+                           tiny_config_dict(tiny_dataset))
+    assert code == 2
+    assert "infinite label -inf in row 5 of" in capsys.readouterr().err
+
+
+def test_undecodable_input_exits_two(cli_train, tmp_path, capsys):
+    raw = b"1 0:1\n0 0:\xff\n"
+    assert _train_on_bytes(tmp_path, raw, BINARY_FILE_CONFIG) == 2
+    assert "train.svm is not UTF-8 text" in capsys.readouterr().err
+    _, out, _ = cli_train
+    assert run_cli(["predict", "--model", str(out / "model.cbf"),
+                    "--input", str(tmp_path / "train.svm"),
+                    "--output", str(tmp_path / "scores.tsv")]) == 2
+    assert "train.svm is not UTF-8 text" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ cmd_predict
 
 def test_predict_contract(cli_train, tiny_dataset, tmp_path):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbforest.data import (DataError, FoldAssignment, LabelMapping,
-                           SparseDataset, binarize, load_csv, load_svmlight,
-                           stratified_kfold)
+                           SparseDataset, _parse_bulk, _parse_lines, binarize,
+                           load_csv, load_svmlight, stratified_kfold)
+from cbforest.synth import make_synthetic
 
 
 # ------------------------------------------------------------ svmlight
@@ -90,6 +91,233 @@ def test_svmlight_round_trip(tmp_path):
     assert np.array_equal(back.continuous_labels, ds.continuous_labels)
 
 
+# ------------------------------------------- bulk parse vs the line loop
+
+def _assert_same_dataset(a, b):
+    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+    for name in ("indptr", "indices", "values", "continuous_labels",
+                 "binary_labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+# Blanks are every ASCII character str.split() separates on that does not
+# end a line of a text-mode file.
+_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_BINARY_LABELS = ["0", "1", "+1", "-0", "1.0", "0e3", "1_0e-1", ".0", "1E0"]
+_NUMBER_SHAPES = ["-0", "+5", "1_5.25", "7.", ".5", "-2.5e-3", "1", "1"]
+_MAX_COL = 40
+
+
+@st.composite
+def _number(draw):
+    v = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    return draw(st.sampled_from(
+        [repr(v), f"{v:+.4e}", f"{v:.6g}", f"{v:E}"] + _NUMBER_SHAPES))
+
+
+@st.composite
+def _index(draw, i):
+    s = str(i)
+    return draw(st.sampled_from(
+        [s, "+" + s, "0" + s, s[0] + "_" + s[1:] if len(s) > 1 else s]))
+
+
+@st.composite
+def _rows(draw, binary, base, min_rows=1):
+    """Token lists [label, "idx:val", ...] of well-formed rows."""
+    rows = []
+    for _ in range(draw(st.integers(min_rows, 6))):
+        label = draw(st.sampled_from(_BINARY_LABELS) if binary else _number())
+        cols = sorted(draw(st.sets(st.integers(0, _MAX_COL - 1), max_size=6)))
+        rows.append([label] + [f"{draw(_index(c + base))}:{draw(_number())}"
+                               for c in cols])
+    return rows
+
+
+@st.composite
+def _render(draw, rows):
+    """File text and the line number of each row, with blank lines between
+    rows and blanks around tokens; one line-end style per file."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    blank = st.text(_BLANKS, max_size=2)
+    lines, linenos = [], []
+    for toks in rows:
+        lines += [draw(blank) for _ in range(draw(st.integers(0, 1)))]
+        seps = [draw(st.text(_BLANKS, min_size=1, max_size=2))
+                for _ in toks[1:]] + [draw(blank)]
+        lines.append(draw(blank) + "".join(
+            t + s for t, s in zip(toks, seps)))
+        linenos.append(len(lines))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, linenos
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), binary=st.booleans(), zero_based=st.booleans(),
+       override=st.booleans())
+def test_bulk_parse_equals_line_loop(data, binary, zero_based, override):
+    base = 0 if zero_based else 1
+    rows = data.draw(_rows(binary, base))
+    raw = data.draw(_render(rows))[0].encode("ascii")
+    label = "binary" if binary else "continuous"
+    n_cols = _MAX_COL + 3 if override else None
+    bulk = _parse_bulk(raw, label, zero_based, n_cols)
+    assert bulk is not None
+    _assert_same_dataset(
+        bulk, _parse_lines(raw, "f.svm", label, zero_based, n_cols))
+
+
+_BAD_LABELS = ["abc", "1:1", "--1", "0x1", "1_", "nan(1)", "1\x00", "\x7f"]
+_NON_BINARY = {"2": "2", "0.5": "0.5", "-1": "-1", "nan": "nan", "inf": "inf",
+               "-1e400": "-inf", "2.5e15": "2500000000000000.0"}
+_BAD_FEATURES = ["5", "a:1", "1.5:1", ":1", "1:", "1:x", "1:2:3", "0x1:1",
+                 "1e1:1", "1:1\x00", "1:" + "1" * 70 + "x"]
+_N_COLS = _MAX_COL + 8
+# Faults the line loop finds on their own line, and faults it finds after
+# reading every line, in the order it checks them.
+_LINE_FAULTS = ["label", "non_binary", "feature", "below_base", "order",
+                "nan"]
+_FILE_FAULTS = ["n_cols", "inf"]
+
+
+def _inject(draw, kind, toks, base):
+    """Make the row `toks` hold one fault of `kind`. Returns its message as a
+    function of the line number, or None for a fault found after reading
+    every line."""
+    last = int(toks[-1].split(":")[0]) if len(toks) > 1 else None
+    after = base if last is None else last + 1
+    if kind == "label":
+        toks[0] = tok = draw(st.sampled_from(_BAD_LABELS))
+        return lambda n: f"malformed label at line {n}: {tok!r}"
+    if kind == "non_binary":
+        toks[0] = tok = draw(st.sampled_from(sorted(_NON_BINARY)))
+        return lambda n: f"non-binary label {_NON_BINARY[tok]} at line {n}"
+    if kind == "feature":
+        tok = draw(st.sampled_from(_BAD_FEATURES))
+        toks.append(tok)
+        return lambda n: f"malformed feature at line {n}: {tok!r}"
+    if kind == "below_base":
+        tok = draw(st.sampled_from(
+            [f"{base - 1}:1", f"{base - 2}:1", "-9223372036854775808:1"]))
+        toks.append(tok)
+        return lambda n: f"feature index below base at line {n}: {tok!r}"
+    if kind == "order":
+        if last is None:
+            toks.append(f"{after}:1")
+            last = after
+        tok = f"{draw(st.integers(base, last))}:{draw(_number())}"
+        toks.append(tok)
+        return lambda n: (f"unsorted or duplicate feature index "
+                          f"at line {n}: {tok!r}")
+    if kind == "nan":
+        toks.append(f"{after}:{draw(st.sampled_from(['nan', 'NaN', '-nan']))}")
+        return lambda n: f"NaN feature value at line {n}"
+    if kind == "n_cols":
+        toks.append(f"{_N_COLS + base + draw(st.integers(0, 3))}:1")
+        return None
+    inf = draw(st.sampled_from(["inf", "-Infinity", "1e400"]))
+    toks.append(f"{after}:{inf}")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), binary=st.booleans(), zero_based=st.booleans(),
+       override=st.booleans())
+def test_bulk_parse_declines_what_the_line_loop_rejects(
+        tmp_path_factory, data, binary, zero_based, override):
+    """A fault at a random line, then a different one on a later line: the
+    bulk parser declines each file, and load_svmlight reports the first
+    fault as the line loop finds it."""
+    base = 0 if zero_based else 1
+    kinds = [k for k in _LINE_FAULTS + _FILE_FAULTS
+             if binary or k != "non_binary"]
+    first = data.draw(st.sampled_from(kinds))
+    second = data.draw(st.sampled_from([k for k in kinds if k != first]))
+    rows = data.draw(_rows(binary, base, min_rows=2))
+    i = data.draw(st.integers(0, len(rows) - 2))
+    j = data.draw(st.integers(i + 1, len(rows) - 1))
+    label = "binary" if binary else "continuous"
+    n_cols = _N_COLS if override or "n_cols" in (first, second) else None
+    path = tmp_path_factory.getbasetemp() / "faults.svm"
+
+    injected = []
+    for kind, row in ((first, i), (second, j)):
+        injected.append((kind, row, _inject(data.draw, kind, rows[row], base)))
+        text, linenos = data.draw(_render(rows))
+        on_lines = [(row, message) for kind, row, message in injected
+                    if kind in _LINE_FAULTS]
+        if on_lines:
+            row, message = on_lines[0]
+            expected = message(linenos[row])
+        elif "n_cols" in [kind for kind, _, _ in injected]:
+            max_idx = max(int(t.split(":")[0]) - base
+                          for toks in rows for t in toks[1:])
+            expected = f"feature index {max_idx} exceeds n_cols={n_cols}"
+        else:
+            expected = "non-finite feature value"
+        raw = text.encode("ascii")
+        assert _parse_bulk(raw, label, zero_based, n_cols) is None
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as exc:
+            load_svmlight(path, label, zero_based=zero_based, n_cols=n_cols)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("n_features, density, counts", [
+    (96, 0.1, False),     # fp-binary
+    (32, 0.1, True),      # fp-counts
+    (1024, 0.05, False),  # fp-wide
+])
+def test_bulk_parse_of_benchmark_shaped_files(tmp_path, n_features, density,
+                                              counts):
+    ds, _ = make_synthetic(300, n_features, 0.05, 16, seed=5, density=density,
+                           noise=2.5)
+    if counts:
+        ds.values = np.random.default_rng(6).integers(
+            1, 6, size=ds.values.size).astype(float)
+    path = tmp_path / "lib.svm"
+    ds.save_svmlight(path, "continuous")
+    raw = path.read_bytes()
+    for n_cols in (None, n_features):
+        bulk = _parse_bulk(raw, "continuous", True, n_cols)
+        assert bulk is not None
+        _assert_same_dataset(
+            bulk, _parse_lines(raw, path, "continuous", True, n_cols))
+    _assert_same_dataset(bulk, SparseDataset(
+        ds.n_rows, n_features, ds.indptr, ds.indices, ds.values,
+        continuous_labels=ds.continuous_labels))
+
+
+@pytest.mark.parametrize("text, label", [
+    ("\uff11 0:1\n", 1.0),               # a full-width digit
+    ("1\u00a00:1\u2003\n", 1.0),         # non-ASCII blanks
+    ("0." + "0" * 70 + "1 0:1\n", 1e-71),   # a field too long to pad
+])
+def test_line_loop_reads_what_the_bulk_parser_declines(tmp_path, text, label):
+    raw = text.encode("utf-8")
+    assert _parse_bulk(raw, "continuous", True, None) is None
+    path = tmp_path / "d.svm"
+    path.write_bytes(raw)
+    ds = load_svmlight(path, expect_label="continuous")
+    _assert_same_dataset(ds, _parse_lines(raw, path, "continuous", True, None))
+    assert list(ds.continuous_labels) == [label]
+    assert ds.row_pairs(0) == [(0, 1.0)]
+
+
+def test_undecodable_input_is_a_data_error(tmp_path):
+    p = tmp_path / "d.svm"
+    p.write_bytes(b"1 0:1\n1 0:\xff\n")
+    with pytest.raises(DataError, match=r"d\.svm is not UTF-8 text"):
+        load_svmlight(p, expect_label="binary")
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"label,f0\n1,\xff\n")
+    with pytest.raises(DataError, match=r"d\.csv is not UTF-8 text"):
+        load_csv(p, "label")
+
+
 # ----------------------------------------------------------------- csv
 
 def test_load_csv_drops_zero_cells(tmp_path):
@@ -123,6 +351,13 @@ def test_load_csv_non_numeric_cell(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f0\n1,abc\n")
     with pytest.raises(DataError):
+        load_csv(p, "label")
+
+
+def test_load_csv_non_finite_binary_label(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("label,f0\n1,1\n-inf,2\n")
+    with pytest.raises(DataError, match="^non-binary label -inf at line 3$"):
         load_csv(p, "label")
 
 
