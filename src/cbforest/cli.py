@@ -2,9 +2,7 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,9 +56,6 @@ def cmd_train(args):
         return EXIT_CONFIG
     try:
         config = RunConfig.from_dict(raw)
-        if "CBF_SEED" in os.environ:
-            config = dataclasses.replace(config,
-                                         seed=int(os.environ["CBF_SEED"]))
         config.validate_paths()
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -123,9 +118,8 @@ def cmd_predict(args):
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    ids = data.row_ids or [f"r{i}" for i in range(data.n_rows)]
     _write_tsv(args.output, ["row_id", "probability"],
-               [[ids[i], float(preds[i])] for i in range(data.n_rows)])
+               [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
     return 0
 
 

@@ -5,7 +5,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .elastic_net import MAX_ITER, TOL
+from .elastic_net import MAX_ITER, TOL, check_solver_settings
 from .metrics import MetricError, MetricSpec
 
 
@@ -112,21 +112,21 @@ class Layer2Config:
 
     max_iter: int = MAX_ITER
     tol: float = TOL
-    penalize_intercept: bool = False
-    refit: bool = False
+
+    def __post_init__(self):
+        try:
+            check_solver_settings(self.max_iter, self.tol)
+        except ValueError as e:
+            raise ConfigError(f"layer2: {e}") from None
 
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError("layer2 must be an object")
-        _reject_unknown(d, ("max_iter", "tol", "penalize_intercept", "refit"),
-                        "layer2")
+        _reject_unknown(d, ("max_iter", "tol"), "layer2")
         return cls(
             max_iter=_optional(d, "max_iter", int, MAX_ITER, where="layer2."),
-            tol=float(_optional(d, "tol", (int, float), TOL, where="layer2.")),
-            penalize_intercept=_optional(d, "penalize_intercept", bool, False,
-                                         where="layer2."),
-            refit=_optional(d, "refit", bool, False, where="layer2."))
+            tol=float(_optional(d, "tol", (int, float), TOL, where="layer2.")))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class SparseDataset:
     """
 
     def __init__(self, n_rows, n_cols, indptr, indices, values,
-                 continuous_labels=None, binary_labels=None, row_ids=None):
+                 continuous_labels=None, binary_labels=None):
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -70,7 +70,6 @@ class SparseDataset:
         self.binary_labels = (
             None if binary_labels is None
             else np.asarray(binary_labels, dtype=np.int8))
-        self.row_ids = list(row_ids) if row_ids is not None else None
         self._csr = None
         self._csc = None
         self._validate()
@@ -98,8 +97,6 @@ class SparseDataset:
         if self.binary_labels is not None and self.binary_labels.size:
             if not np.isin(self.binary_labels, (0, 1)).all():
                 raise DataError("binary labels must be 0 or 1")
-        if self.row_ids is not None and len(self.row_ids) != self.n_rows:
-            raise DataError("row_ids length does not match n_rows")
 
     @classmethod
     def from_rows(cls, rows, n_cols=None, **kwargs):
@@ -141,9 +138,7 @@ class SparseDataset:
             continuous_labels=None if self.continuous_labels is None
             else self.continuous_labels[rows],
             binary_labels=None if self.binary_labels is None
-            else self.binary_labels[rows],
-            row_ids=None if self.row_ids is None
-            else [self.row_ids[i] for i in rows])
+            else self.binary_labels[rows])
 
     def save_svmlight(self, path, label_kind, zero_based=True):
         if label_kind == "binary":
@@ -172,6 +167,14 @@ def _fmt(v):
             else repr(v))
 
 
+def _read_bytes(path):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+
+
 def _decode(raw, path):
     try:
         return raw.decode("utf-8")
@@ -190,8 +193,7 @@ def load_svmlight(path, expect_label, zero_based=True, n_cols=None):
     """
     if expect_label not in ("continuous", "binary"):
         raise DataError(f"unknown expect_label {expect_label!r}")
-    with open(path, "rb") as f:
-        raw = f.read()
+    raw = _read_bytes(path)
     ds = _parse_bulk(raw, expect_label, zero_based, n_cols)
     if ds is None:
         ds = _parse_lines(raw, path, expect_label, zero_based, n_cols)
@@ -288,6 +290,10 @@ def _parse_bulk(raw, expect_label, zero_based, n_cols):
         return None
 
 
+# Feature indices are stored as int64.
+_MAX_INDEX = np.iinfo(np.int64).max
+
+
 def _parse_lines(raw, path, expect_label, zero_based, n_cols):
     """Parse SVMLight bytes one line and one token at a time.
 
@@ -332,6 +338,9 @@ def _parse_lines(raw, path, expect_label, zero_based, n_cols):
         raise DataError(f"no rows in {path}")
     max_idx = max((p[-1][0] for p in rows if p), default=-1)
     if n_cols is None:
+        if max_idx > _MAX_INDEX:
+            raise DataError(f"feature index {max_idx} exceeds the largest "
+                            f"supported index {_MAX_INDEX}")
         n_cols = max_idx + 1
     elif max_idx >= n_cols:
         raise DataError(f"feature index {max_idx} exceeds n_cols={n_cols}")
@@ -345,8 +354,7 @@ def _parse_lines(raw, path, expect_label, zero_based, n_cols):
 
 def load_csv(path, label_column, feature_columns=None, expect_label="binary"):
     """Load a dense numeric CSV; zero-valued cells become absent features."""
-    with open(path, "rb") as f:
-        text = _decode(f.read(), path)
+    text = _decode(_read_bytes(path), path)
     reader = csv.reader(io.StringIO(text, newline=None))
     try:
         header = next(reader)

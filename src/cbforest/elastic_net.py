@@ -3,7 +3,7 @@
 This is the second-layer learner: it both weights the base-model score
 columns and performs the sigmoid calibration. The objective is the summed
 negative log-likelihood plus lambda2 * sum(beta^2) + lambda1 * sum(|beta|).
-The intercept is exempt from both penalties by default; penalizing it
+The intercept is exempt from both penalties, as in glmnet: penalizing it
 distorts the base rate under rare-event prevalence.
 
 The solver is proximal Newton (Lee, Sun & Saunders, SIAM J. Optim. 2014;
@@ -46,26 +46,23 @@ _MAX_HALVINGS = 40
 
 @dataclass(frozen=True)
 class ElasticNetParams:
-    """Penalties of one layer-2 candidate and the solver's stopping rule.
-
-    `max_iter` bounds the Newton iterations; `tol` bounds the KKT residual
-    (in units of the summed log-likelihood's gradient) at which a fit counts
-    as converged.
-    """
+    """Penalties of one layer-2 candidate."""
 
     lambda1: float = 0.0
     lambda2: float = 0.0
-    max_iter: int = MAX_ITER
-    tol: float = TOL
-    penalize_intercept: bool = False
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+
+
+def check_solver_settings(max_iter, tol):
+    """Raise ValueError unless `max_iter` is at least 1 and `tol` is
+    positive and finite."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -101,14 +98,14 @@ def _kkt_residual(beta, grad, l1):
 
 def _has_finite_optimum(X1, y, free):
     """Whether the objective attains its minimum, given the mask of
-    coefficients that carry no penalty.
+    coefficients that carry no penalty, the intercept among them.
 
     The minimum is missing exactly when a direction over the free
     coefficients puts every row on its label's side of zero, and some row
     strictly: the likelihood then falls forever along it.
     """
     if not free[1:].any():
-        return bool(0 < y.sum() < len(y) or not free[0])
+        return bool(0 < y.sum() < len(y))
     margin = (2.0 * y - 1.0)[:, None] * X1[:, free]
     res = linprog(-margin.sum(axis=0), A_ub=-margin, b_ub=np.zeros(len(y)),
                   bounds=(-1.0, 1.0), method="highs")
@@ -177,16 +174,19 @@ def _newton_step(A, grad, beta, l1):
     return u - beta
 
 
-def fit_elastic_net(X, y, params: ElasticNetParams,
-                    init=None) -> ElasticNetModel:
+def fit_elastic_net(X, y, params: ElasticNetParams, init=None, *,
+                    max_iter=MAX_ITER, tol=TOL) -> ElasticNetModel:
     """Minimize the penalized objective by proximal Newton.
 
     A column of ones is prepended internally; callers pass raw score
     columns only. `init` (intercept first) is the starting point, zero by
     default; a fit from the solution of a nearby problem takes fewer
-    iterations. `converged` is True when the KKT residual fell to `tol`
-    within `max_iter` iterations and the problem has a finite optimum.
+    iterations. `max_iter` bounds the Newton iterations and `tol` the KKT
+    residual (in units of the summed log-likelihood's gradient) at which the
+    fit stops. `converged` is True when the residual fell to `tol` within
+    `max_iter` iterations and the problem has a finite optimum.
     """
+    check_solver_settings(max_iter, tol)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-d matrix")
@@ -200,8 +200,7 @@ def fit_elastic_net(X, y, params: ElasticNetParams,
     n, p = X.shape
     X1 = np.hstack([np.ones((n, 1)), X])
     pen_mask = np.ones(p + 1)
-    if not params.penalize_intercept:
-        pen_mask[0] = 0.0
+    pen_mask[0] = 0.0
     l1 = params.lambda1 * pen_mask
     l2 = params.lambda2 * pen_mask
     finite = _has_finite_optimum(X1, y, (l1 == 0) & (l2 == 0))
@@ -218,12 +217,12 @@ def fit_elastic_net(X, y, params: ElasticNetParams,
 
     converged = False
     it = 0
-    for it in range(params.max_iter + 1):
+    for it in range(max_iter + 1):
         grad = smooth_gradient(beta, X1, y, params.lambda2, pen_mask)
-        if _kkt_residual(beta, grad, l1) <= params.tol:
+        if _kkt_residual(beta, grad, l1) <= tol:
             converged = finite
             break
-        if it == params.max_iter:
+        if it == max_iter:
             break
         prob = expit(X1 @ beta)
         hess = (X1.T * (prob * (1.0 - prob))) @ X1 + np.diag(2.0 * l2)

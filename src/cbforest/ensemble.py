@@ -3,7 +3,6 @@ base-layer training producing out-of-fold score columns, dual-label fusion,
 elastic-net candidate sweep, and two-stage prediction."""
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -13,8 +12,8 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
                    binarize, load_csv, load_svmlight, stratified_kfold)
-from .elastic_net import (MAX_ITER, TOL, ElasticNetModel, ElasticNetParams,
-                          fit_elastic_net, predict_proba)
+from .elastic_net import (MAX_ITER, TOL, ElasticNetParams, fit_elastic_net,
+                          predict_proba)
 from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
                   TrainingError, TreeHyperParams, lookup_blocks,
                   predict_gbm, split_features, train_gbm)
@@ -241,36 +240,31 @@ class Layer2Selection:
     cv: CvScore
     selected_index: int
     fold_models: list           # winner's K fold models
-    refit_model: ElasticNetModel
 
 
-def sample_layer2_params(H, seed, ranges=None, *, max_iter=MAX_ITER, tol=TOL,
-                         penalize_intercept=False):
+def sample_layer2_params(H, seed, ranges=None):
     merged = _merge_ranges(ranges)
     rng = np.random.default_rng(seed)
-    make = functools.partial(ElasticNetParams, max_iter=max_iter, tol=tol,
-                             penalize_intercept=penalize_intercept)
     seen = set()
-    return [_draw_unseen(rng, merged["layer2"], make, seen, "layer-2 candidate")
+    return [_draw_unseen(rng, merged["layer2"], ElasticNetParams, seen,
+                         "layer-2 candidate")
             for _ in range(H)]
 
 
 def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
                  metric: MetricSpec, *, ranges=None, max_iter=MAX_ITER,
-                 tol=TOL, penalize_intercept=False) -> Layer2Selection:
+                 tol=TOL) -> Layer2Selection:
     """Sweep H elastic-net candidates K-fold over the stacked matrix.
 
     Selects the candidate with the best mean cross-validation score (ties
-    go to the lowest index) and keeps both its K fold models and a refit on
-    the full matrix. Each candidate's fold fits start from the previous
-    fold's solution, and the refit from the mean of the winner's fold
-    solutions: the problems differ by a third of their rows at most.
+    go to the lowest index) and keeps its K fold models, which prediction
+    averages. Each candidate's fold fits start from the previous fold's
+    solution: the problems differ by a third of their rows at most.
+    `max_iter` and `tol` are passed to every `fit_elastic_net`.
     """
     if H < 1:
         raise ValueError("H must be at least 1")
-    candidates = sample_layer2_params(
-        H, seed, ranges, max_iter=max_iter, tol=tol,
-        penalize_intercept=penalize_intercept)
+    candidates = sample_layer2_params(H, seed, ranges)
     per_fold = np.empty((H, folds.K))
     fold_models = []
     for h, params in enumerate(candidates):
@@ -279,7 +273,8 @@ def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
         for k in range(folds.K):
             tr = folds.train_rows(k)
             va = folds.valid_rows(k)
-            m = fit_elastic_net(md.X[tr], md.y[tr], params, init=init)
+            m = fit_elastic_net(md.X[tr], md.y[tr], params, init=init,
+                                max_iter=max_iter, tol=tol)
             p = predict_proba(m, md.X[va])
             per_fold[h, k] = evaluate(metric, p, md.y[va])
             models_h.append(m)
@@ -288,13 +283,9 @@ def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
     cv = CvScore(per_fold=per_fold)
     oriented = cv.mean if metric.greater_is_better else -cv.mean
     selected = int(np.argmax(oriented))
-    refit = fit_elastic_net(
-        md.X, md.y, candidates[selected],
-        init=np.mean([m.beta for m in fold_models[selected]], axis=0))
     return Layer2Selection(candidates=candidates, cv=cv,
                            selected_index=selected,
-                           fold_models=fold_models[selected],
-                           refit_model=refit)
+                           fold_models=fold_models[selected])
 
 
 def layer1_cv(bundle: Layer1Bundle, folds: FoldAssignment, binary_labels,
@@ -317,9 +308,8 @@ class CbfModel:
     A model read back by `load_archive` holds only what `predict_cbf`
     reads; its training-only fields are None. These are `folds`,
     `label_mapping`, `H` and `seed`; each bundle's `samples` and
-    `oof_columns`; the layer-2 `candidates`, `cv` and `selected_index`, and
-    whichever of `fold_models` and `refit_model` prediction does not use;
-    and each layer-2 model's `converged`, `n_iter` and
+    `oof_columns`; the layer-2 `candidates`, `cv` and `selected_index`; and
+    each layer-2 fold model's `converged`, `n_iter` and
     `single_class_warning`. Its base models are cut by `export_gbm`.
     """
 
@@ -330,7 +320,6 @@ class CbfModel:
     H: int
     seed: int
     column_order: list            # [(label_kind, h), ...]
-    use_layer2_refit: bool = False
 
 
 def layer1_feature_matrix(model: CbfModel, data: SparseDataset) -> np.ndarray:
@@ -362,11 +351,9 @@ def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:
 
     Every base model predicts on all rows; the K fold predictions per
     (bundle, h) are averaged into one column, then the layer-2 fold models
-    are averaged on the probability scale (or the full refit is used).
+    are averaged on the probability scale.
     """
     X = layer1_feature_matrix(model, data)
-    if model.use_layer2_refit:
-        return predict_proba(model.layer2.refit_model, X)
     probs = [predict_proba(m, X) for m in model.layer2.fold_models]
     return np.mean(probs, axis=0)
 
@@ -475,14 +462,12 @@ def run_cbf(config: RunConfig) -> RunResult:
     sel = train_layer2(md, folds, config.H, derive_seed(config.seed, 4),
                        config.selection_metric,
                        ranges=config.sampling_ranges,
-                       max_iter=config.layer2.max_iter, tol=config.layer2.tol,
-                       penalize_intercept=config.layer2.penalize_intercept)
+                       max_iter=config.layer2.max_iter, tol=config.layer2.tol)
 
     ordered = sorted(bundles, key=lambda b: b.label_kind != "binary")
     model = CbfModel(bundles=ordered, layer2=sel, folds=folds,
                      label_mapping=mapping, H=config.H, seed=config.seed,
-                     column_order=md.columns,
-                     use_layer2_refit=config.layer2.refit)
+                     column_order=md.columns)
 
     train_pred = predict_cbf(model, train)
     valid_pred = np.empty(train.n_rows)

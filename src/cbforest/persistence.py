@@ -95,27 +95,25 @@ def _gbm_from_dict(d):
 
 
 def model_to_dict(model: CbfModel):
-    sel = model.layer2
-    used = [sel.refit_model] if model.use_layer2_refit else sel.fold_models
     return {
         "bundles": [{"label_kind": b.label_kind,
                      "models": [[_gbm_to_dict(m) for m in row]
                                 for row in b.models]}
                     for b in model.bundles],
-        "layer2_betas": [m.beta.tolist() for m in used],
+        "layer2_betas": [m.beta.tolist() for m in model.layer2.fold_models],
         "column_order": [list(c) for c in model.column_order],
-        "use_layer2_refit": model.use_layer2_refit,
     }
 
 
 def model_from_dict(d) -> CbfModel:
+    """The model a stored document describes. An older archive may also hold
+    `use_layer2_refit`; when true its one beta is a refit, which predicts as
+    the average of one model, so the key is ignored."""
     betas = [ElasticNetModel(beta=np.asarray(b), converged=None, n_iter=None,
                              single_class_warning=None)
              for b in d["layer2_betas"]]
-    refit = d["use_layer2_refit"]
     sel = Layer2Selection(candidates=None, cv=None, selected_index=None,
-                          fold_models=None if refit else betas,
-                          refit_model=betas[0] if refit else None)
+                          fold_models=betas)
     return CbfModel(
         bundles=[Layer1Bundle(label_kind=b["label_kind"], samples=None,
                               models=[[_gbm_from_dict(m) for m in row]
@@ -123,8 +121,7 @@ def model_from_dict(d) -> CbfModel:
                               oof_columns=None)
                  for b in d["bundles"]],
         layer2=sel, folds=None, label_mapping=None, H=None, seed=None,
-        column_order=[tuple(c) for c in d["column_order"]],
-        use_layer2_refit=refit)
+        column_order=[tuple(c) for c in d["column_order"]])
 
 
 def _payload_checksum(payload):

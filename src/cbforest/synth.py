@@ -48,8 +48,7 @@ def make_synthetic(n, n_features, pos_rate, signal, seed, *, density=0.1,
     indptr = np.searchsorted(rows_idx, np.arange(n + 1))
     ds = SparseDataset(n, n_features, indptr, cols_idx,
                        np.ones(len(cols_idx)),
-                       continuous_labels=latent, binary_labels=binary,
-                       row_ids=[f"r{i}" for i in range(n)])
+                       continuous_labels=latent, binary_labels=binary)
     return ds, threshold
 
 

@@ -379,8 +379,8 @@ def test_criterion_9_calibration_order_invariance():
         scores = np.clip(g.uniform(0.05, 0.3) + g.uniform(0.3, 0.7) * y
                          + g.normal(0, 0.08, n), 1e-6, 1 - 1e-6)
         X = scores.reshape(-1, 1)
-        m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-3, lambda2=1e-3,
-                                                   tol=1e-8))
+        m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-3, lambda2=1e-3),
+                            tol=1e-8)
         if m.beta[1] <= 0:
             continue
         p = predict_proba(m, X)

@@ -1,6 +1,6 @@
 """CLI surface, run-config schema, and archive persistence tests."""
-import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -12,8 +12,9 @@ import pytest
 
 from cbforest.cli import main
 from cbforest.config import ConfigError, Layer2Config, RunConfig
-from cbforest.elastic_net import ElasticNetParams
-from cbforest.ensemble import predict_cbf
+from cbforest.elastic_net import (ElasticNetModel, fit_elastic_net,
+                                  predict_proba)
+from cbforest.ensemble import layer1_feature_matrix, predict_cbf
 from cbforest.gbm import (GBLINEAR, GBTREE, QUADRATIC, DecisionTree,
                           TreeHyperParams, grad_hess, predict_gbm,
                           predict_tree)
@@ -78,8 +79,7 @@ def test_config_to_dict_of_a_full_config():
         "selection_metric": {"kind": "reliability_score", "n_bins": 5},
         "booster_mix": "gbtree", "patience": 10, "max_rounds": 50,
         "sampling_ranges": {"tree": {"max_depth": ["int", 2, 4]}},
-        "layer2": {"max_iter": 50, "tol": 1e-4, "penalize_intercept": True,
-                   "refit": True},
+        "layer2": {"max_iter": 50, "tol": 1e-4},
         "workers": 2, "output_dir": "out"}
     assert RunConfig.from_dict(full).to_dict() == full
     bed = dict(full, selection_metric={"kind": "auc_bed", "alpha": 80.0})
@@ -96,9 +96,11 @@ def test_config_to_dict_of_a_full_config():
         "selection_metric": {"kind": "auc_prc"},
         "booster_mix": "alternate", "patience": 100, "max_rounds": 2000,
         "sampling_ranges": {},
-        "layer2": {"max_iter": 1000, "tol": 1e-6,
-                   "penalize_intercept": False, "refit": False},
+        "layer2": {"max_iter": 1000, "tol": 1e-6},
         "workers": None, "output_dir": "."}
+    for removed in ("penalize_intercept", "refit"):
+        with pytest.raises(ConfigError, match=removed):
+            RunConfig.from_dict(dict(full, layer2={removed: False}))
 
 
 def test_config_missing_path_rejected(tiny_dataset):
@@ -110,10 +112,10 @@ def test_config_missing_path_rejected(tiny_dataset):
 
 def test_layer2_config_defaults():
     cfg = Layer2Config.from_dict({})
-    solver = ElasticNetParams()
-    assert (cfg.max_iter, cfg.tol) == (solver.max_iter, solver.tol) == (1000, 1e-6)
-    assert not cfg.penalize_intercept
-    assert not cfg.refit
+    solver = inspect.signature(fit_elastic_net).parameters
+    assert ((cfg.max_iter, cfg.tol)
+            == (solver["max_iter"].default, solver["tol"].default)
+            == (1000, 1e-6))
 
 
 # ------------------------------------------------------------ persistence
@@ -121,13 +123,36 @@ def test_layer2_config_defaults():
 def test_archive_round_trip_bit_exact(tiny_run, tmp_path):
     config, result = tiny_run
     path = tmp_path / "model.cbf"
-    for refit in (False, True):
-        model = dataclasses.replace(result.model, use_layer2_refit=refit)
-        save_archive(path, model, config.to_dict())
-        loaded, cfg = load_archive(path)
-        assert cfg == config.to_dict()
-        assert np.array_equal(predict_cbf(loaded, result.train_data),
-                              predict_cbf(model, result.train_data))
+    save_archive(path, result.model, config.to_dict())
+    loaded, cfg = load_archive(path)
+    assert cfg == config.to_dict()
+    assert np.array_equal(predict_cbf(loaded, result.train_data),
+                          predict_cbf(result.model, result.train_data))
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_archive_with_the_removed_refit_flag_loads(tiny_run, tmp_path, refit):
+    """Archives once stored `use_layer2_refit`; with it true they held the
+    one beta of a refit on all rows. Both shapes load and predict as the
+    mean over their betas."""
+    _, result = tiny_run
+    beta = np.mean([m.beta for m in result.model.layer2.fold_models], axis=0)
+
+    def as_written_before(doc):
+        doc["model"]["use_layer2_refit"] = refit
+        if refit:
+            doc["model"]["layer2_betas"] = [beta.tolist()]
+
+    path = _edited_archive(tiny_run, tmp_path, as_written_before,
+                           rechecksum=True)
+    loaded, _ = load_archive(path)
+    data = result.train_data
+    if refit:
+        expected = predict_proba(ElasticNetModel(beta=beta),
+                                 layer1_feature_matrix(loaded, data))
+    else:
+        expected = predict_cbf(result.model, data)
+    assert predict_cbf(loaded, data).tobytes() == expected.tobytes()
 
 
 def test_archive_checksum_detects_corruption(tiny_run, tmp_path):
@@ -421,7 +446,7 @@ def test_train_rerun_byte_identical(cli_train, tiny_dataset, tmp_path):
 # scipy 1.17.1, x86-64).
 TRAIN_DIGESTS = {
     "model.cbf":
-        "f2f74c553739dd840f659d39b04787e8be320b5ad75dc92040492a96b6d783d9",
+        "3dabbba116a757681cc8f0d4545738849b0886aefee98f78f351be0e3d1b4da1",
     "cv_scores.tsv":
         "c2298303aa9a9fd0247b79e49128eb06af44f9562d0665552d6937f86af2e012",
     "metrics.tsv":
@@ -443,18 +468,6 @@ def test_train_outputs_match_recorded_digests(tiny_dataset, tmp_path,
     assert digests == TRAIN_DIGESTS
 
 
-def test_train_env_seed_override_changes_results(cli_train, tiny_dataset,
-                                                 tmp_path, monkeypatch):
-    _, first_out, cfg = cli_train
-    other_cfg = dict(cfg, output_dir=str(tmp_path))
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(other_cfg))
-    monkeypatch.setenv("CBF_SEED", "999")
-    assert run_cli(["train", "--config", str(cfg_path)]) == 0
-    assert ((tmp_path / "cv_scores.tsv").read_bytes()
-            != (first_out / "cv_scores.tsv").read_bytes())
-
-
 def test_train_h_zero_exits_one(tiny_dataset, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(tiny_config_dict(tiny_dataset, H=0)))
@@ -471,6 +484,24 @@ def test_train_rejects_a_layer2_learning_rate_range(tiny_dataset, tmp_path,
     assert run_cli(["train", "--config", str(cfg_path)]) == 1
     assert ("unknown sampling_ranges entry layer2.learning_rate"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("layer2", [
+    {"tol": 0}, {"max_iter": 0}, {"penalize_intercept": False},
+    {"refit": True}], ids=["tol", "max_iter", "penalize_intercept", "refit"])
+def test_train_rejects_a_bad_layer2_config_before_training(
+        tiny_dataset, tmp_path, capsys, monkeypatch, layer2):
+    def no_training(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("cbforest.cli.run_cbf", no_training)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(tiny_config_dict(
+        tiny_dataset, layer2=layer2, output_dir=str(tmp_path / "out"))))
+    assert run_cli(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert list(layer2)[0] in err
 
 
 def test_train_invalid_json_exits_one(tmp_path):
@@ -518,6 +549,23 @@ def test_undecodable_input_exits_two(cli_train, tmp_path, capsys):
     assert "train.svm is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_train_feature_index_past_int64_exits_two(tmp_path, capsys):
+    raw = b"1 99999999999999999999:1\n0 0:1\n"
+    assert _train_on_bytes(tmp_path, raw, BINARY_FILE_CONFIG) == 2
+    assert ("data error: feature index 99999999999999999999 exceeds"
+            in capsys.readouterr().err)
+
+
+def test_predict_unreadable_input_exits_two(cli_train, tmp_path, capsys):
+    _, out, _ = cli_train
+    for path in (tmp_path / "missing.svm", tmp_path):
+        assert run_cli(["predict", "--model", str(out / "model.cbf"),
+                        "--input", str(path),
+                        "--output", str(tmp_path / "scores.tsv")]) == 2
+        assert (capsys.readouterr().err.startswith(
+            f"data error: cannot read {path}: "))
+
+
 # ------------------------------------------------------------ cmd_predict
 
 def test_predict_contract(cli_train, tiny_dataset, tmp_path):
@@ -531,6 +579,8 @@ def test_predict_contract(cli_train, tiny_dataset, tmp_path):
     assert lines[0] == "row_id\tprobability"
     n_input = len(Path(tiny_dataset["path"]).read_text().strip().split("\n"))
     assert len(lines) == 1 + n_input
+    assert [line.split("\t")[0] for line in lines[1:]] == [
+        f"r{i}" for i in range(n_input)]
     probs = [float(line.split("\t")[1]) for line in lines[1:]]
     assert all(0.0 < p < 1.0 for p in probs)
 

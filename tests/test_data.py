@@ -1,4 +1,6 @@
 """Data loading, label mapping, and stratified fold tests."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,6 +318,30 @@ def test_undecodable_input_is_a_data_error(tmp_path):
     p.write_bytes(b"label,f0\n1,\xff\n")
     with pytest.raises(DataError, match=r"d\.csv is not UTF-8 text"):
         load_csv(p, "label")
+
+
+def test_unreadable_input_is_a_data_error(tmp_path):
+    for path in (tmp_path / "missing.svm", tmp_path):
+        message = re.escape(f"cannot read {path}: ")
+        with pytest.raises(DataError, match=message):
+            load_svmlight(path, expect_label="binary")
+        with pytest.raises(DataError, match=message):
+            load_csv(path, "label")
+
+
+def test_feature_index_past_int64_is_a_data_error(tmp_path):
+    p = tmp_path / "d.svm"
+    p.write_text(f"1 {2**63}:1\n0 0:1\n")
+    with pytest.raises(DataError,
+                       match=f"feature index {2**63} exceeds the largest"):
+        load_svmlight(p, expect_label="binary")
+    with pytest.raises(DataError,
+                       match=f"feature index {2**63} exceeds n_cols"):
+        load_svmlight(p, expect_label="binary", n_cols=64)
+    # one-based, the same token is the largest index an int64 holds
+    p.write_text(f"1 {2**63}:1\n0 1:1\n")
+    ds = load_svmlight(p, expect_label="binary", zero_based=False)
+    assert ds.row_pairs(0) == [(2**63 - 1, 1.0)]
 
 
 # ----------------------------------------------------------------- csv

@@ -31,13 +31,13 @@ def make_problem(seed, n=200, p=3):
     return X, y
 
 
-def kkt_residual_of(beta, X, y, lambda1, lambda2, penalize_intercept=False):
+def kkt_residual_of(beta, X, y, lambda1, lambda2):
     """Largest minimum-norm subgradient of the objective at beta, from its
     definition: |derivative + lambda1 * sign| at a nonzero penalized
     coefficient, max(|derivative| - lambda1, 0) at a zero one."""
     X1 = np.hstack([np.ones((len(y), 1)), X])
     pen = np.ones(X1.shape[1])
-    pen[0] = 1.0 if penalize_intercept else 0.0
+    pen[0] = 0.0
     z = X1 @ beta
     grad = X1.T @ (1.0 / (1.0 + np.exp(-z)) - y) + 2.0 * lambda2 * pen * beta
     res = []
@@ -62,7 +62,7 @@ def test_intercept_only_balanced_labels():
 
 def test_huge_l1_zeroes_coefficient_intercept_free():
     X, y = make_problem(1)
-    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e6, tol=1e-6))
+    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e6), tol=1e-6)
     assert np.array_equal(m.beta[1:], np.zeros(X.shape[1]))
     base = y.mean()
     assert m.beta[0] == pytest.approx(math.log(base / (1 - base)), abs=1e-4)
@@ -73,7 +73,7 @@ def test_unregularized_matches_reference_optimizer():
     X = g.random((20, 2))
     y = (g.random(20) < 0.5).astype(float)
     y[0], y[1] = 1.0, 0.0
-    m = fit_elastic_net(X, y, ElasticNetParams(tol=1e-10))
+    m = fit_elastic_net(X, y, ElasticNetParams(), tol=1e-10)
     X1 = np.hstack([np.ones((20, 1)), X])
     grad = smooth_gradient(m.beta, X1, y, 0.0, np.zeros(3))
     assert np.linalg.norm(grad) <= 1e-4
@@ -84,8 +84,8 @@ def test_unregularized_matches_reference_optimizer():
 def test_regularized_objective_matches_reference():
     X, y = make_problem(4)
     lam1, lam2 = 1e-3, 1e-2
-    params = ElasticNetParams(lambda1=lam1, lambda2=lam2, tol=1e-10)
-    m = fit_elastic_net(X, y, params)
+    params = ElasticNetParams(lambda1=lam1, lambda2=lam2)
+    m = fit_elastic_net(X, y, params, tol=1e-10)
     X1 = np.hstack([np.ones((len(y), 1)), X])
     pen = np.ones(X.shape[1] + 1)
     pen[0] = 0.0
@@ -99,19 +99,11 @@ def test_regularized_objective_matches_reference():
     assert objective(m.beta) <= ref.fun + 1e-6
 
 
-def test_penalize_intercept_flag_changes_solution():
-    X, y = make_problem(5)
-    base = fit_elastic_net(X, y, ElasticNetParams(lambda2=5.0, tol=1e-6))
-    pen = fit_elastic_net(X, y, ElasticNetParams(lambda2=5.0, tol=1e-6,
-                                                 penalize_intercept=True))
-    assert abs(pen.beta[0]) < abs(base.beta[0])
-
-
 def test_lambda2_shrinks_coefficient_norm_monotonically():
     X, y = make_problem(6)
     norms = []
     for lam2 in (0.0, 0.1, 1.0, 10.0, 100.0):
-        m = fit_elastic_net(X, y, ElasticNetParams(lambda2=lam2, tol=1e-7))
+        m = fit_elastic_net(X, y, ElasticNetParams(lambda2=lam2), tol=1e-7)
         norms.append(float(np.linalg.norm(m.beta[1:])))
     assert all(b <= a + 1e-5 for a, b in zip(norms, norms[1:]))
     assert norms[-1] < norms[0]
@@ -126,21 +118,22 @@ def test_converges_across_penalty_grid():
         for lam2 in (0.0, 1e-6, 1e-2, 10.0):
             for tol in (1e-6, 1e-9):
                 m = fit_elastic_net(X, y, ElasticNetParams(
-                    lambda1=lam1, lambda2=lam2, tol=tol))
+                    lambda1=lam1, lambda2=lam2), tol=tol)
                 case = f"lambda1={lam1} lambda2={lam2} tol={tol}"
                 assert m.converged, case
                 assert m.n_iter <= 50, case
                 assert kkt_residual_of(m.beta, X, y, lam1, lam2) <= tol, case
 
 
-# (seed, near-collinear, lambda1, lambda2, penalize_intercept)
+# (seed, near-collinear, lambda1, lambda2, the oracles' penalize_intercept:
+# False, as the fit never penalizes the intercept)
 ORACLE_CASES = [
     (0, False, 1e-3, 1e-3, False),
     (1, True, 1e-4, 1e-6, False),     # correlation 0.98, lambda2 tiny
     (2, True, 0.0, 1e-5, False),
     (3, False, 4.0, 1e-3, False),     # lambda1 zeroes coefficients
-    (4, False, 1e-2, 1e-2, True),
-    (5, True, 0.5, 1e-6, True),
+    (4, False, 1e-2, 1e-2, False),
+    (5, True, 0.5, 1e-6, False),
 ]
 
 
@@ -154,8 +147,8 @@ def test_objective_matches_coordinate_descent_oracle(seed, collinear, lam1,
         X[:, 1] = 0.8 * X[:, 0] + 0.2 * g.random(n)
     z = -0.5 + 2.0 * X[:, 0] - X[:, 2]
     y = (g.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
-    m = fit_elastic_net(X, y, ElasticNetParams(
-        lambda1=lam1, lambda2=lam2, penalize_intercept=pen_icpt, tol=1e-9))
+    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=lam1, lambda2=lam2),
+                        tol=1e-9)
     assert m.converged
     ref = elastic_net_cd_oracle(X, y, lam1, lam2, pen_icpt)
     f_fit = elastic_net_objective_oracle(m.beta, X, y, lam1, lam2, pen_icpt)
@@ -168,29 +161,30 @@ def test_objective_matches_coordinate_descent_oracle(seed, collinear, lam1,
 
 def test_max_iter_bounds_the_iterations():
     X, y = make_problem(13)
-    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-3, lambda2=1e-3,
-                                               max_iter=1))
+    m = fit_elastic_net(X, y, ElasticNetParams(lambda1=1e-3, lambda2=1e-3),
+                        max_iter=1)
     assert not m.converged
     assert m.n_iter == 1
 
 
 def test_warm_start_reaches_the_same_optimum():
     X, y = make_problem(14)
-    params = ElasticNetParams(lambda1=1e-2, lambda2=1e-3, tol=1e-10)
-    cold = fit_elastic_net(X, y, params)
-    again = fit_elastic_net(X, y, params, init=cold.beta)
+    params = ElasticNetParams(lambda1=1e-2, lambda2=1e-3)
+    cold = fit_elastic_net(X, y, params, tol=1e-10)
+    again = fit_elastic_net(X, y, params, init=cold.beta, tol=1e-10)
     assert again.converged and again.n_iter == 0
     assert np.array_equal(again.beta, cold.beta)
-    far = fit_elastic_net(X, y, params, init=np.array([5.0, -3.0, 0.0, 7.0]))
+    far = fit_elastic_net(X, y, params, init=np.array([5.0, -3.0, 0.0, 7.0]),
+                          tol=1e-10)
     assert far.converged
     assert np.allclose(far.beta, cold.beta, rtol=0, atol=1e-8)
     with pytest.raises(ValueError):
-        fit_elastic_net(X, y, params, init=np.zeros(3))
+        fit_elastic_net(X, y, params, init=np.zeros(3), tol=1e-10)
 
 
 def test_single_class_warning_flag():
     X = np.random.default_rng(8).random((12, 2))
-    m = fit_elastic_net(X, np.ones(12), ElasticNetParams(tol=1e-6))
+    m = fit_elastic_net(X, np.ones(12), ElasticNetParams(), tol=1e-6)
     assert m.single_class_warning
     # the unpenalized intercept has no finite optimum
     assert not m.converged
@@ -198,19 +192,11 @@ def test_single_class_warning_flag():
     assert predict_proba(m, X).min() > 0.5
 
 
-def test_single_class_with_penalized_intercept_has_an_optimum():
-    X = np.random.default_rng(8).random((12, 2))
-    params = ElasticNetParams(lambda2=0.1, penalize_intercept=True, tol=1e-9)
-    m = fit_elastic_net(X, np.ones(12), params)
-    assert m.single_class_warning and m.converged
-    assert kkt_residual_of(m.beta, X, np.ones(12), 0.0, 0.1, True) <= 1e-9
-
-
 def test_duplicate_columns_without_penalty_converge():
     # the Hessian is singular: each Newton step is the least-norm one
     X, y = make_problem(15)
     X = np.column_stack([X, X[:, 0]])
-    m = fit_elastic_net(X, y, ElasticNetParams(tol=1e-9))
+    m = fit_elastic_net(X, y, ElasticNetParams(), tol=1e-9)
     assert m.converged
     assert kkt_residual_of(m.beta, X, y, 0.0, 0.0) <= 1e-9
     assert m.beta[1] == pytest.approx(m.beta[4], rel=1e-9)
@@ -236,10 +222,12 @@ def test_non_finite_input_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         ElasticNetParams(lambda1=-1.0)
-    with pytest.raises(ValueError):
-        ElasticNetParams(max_iter=0)
-    with pytest.raises(ValueError):
-        ElasticNetParams(tol=0.0)
+    X, y = make_problem(16)
+    with pytest.raises(ValueError, match="max_iter"):
+        fit_elastic_net(X, y, ElasticNetParams(), max_iter=0)
+    for tol in (0.0, -1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            fit_elastic_net(X, y, ElasticNetParams(), tol=tol)
 
 
 # --------------------------------------------------------- smooth parts
@@ -296,7 +284,7 @@ def test_calibration_map_preserves_ordering_with_positive_coefficient():
     g = np.random.default_rng(12)
     y = (g.random(300) < 0.3).astype(float)
     X = np.clip(0.1 + 0.8 * y + g.normal(0, 0.05, 300), 0.0, 1.0).reshape(-1, 1)
-    m = fit_elastic_net(X, y, ElasticNetParams(tol=1e-6))
+    m = fit_elastic_net(X, y, ElasticNetParams(), tol=1e-6)
     assert m.beta[1] > 0
     p = predict_proba(m, X)
     assert np.array_equal(np.argsort(p, kind="stable"),

@@ -1,5 +1,4 @@
 """Stacking pipeline tests: sampling, layer-1 grids, MD assembly, layer-2."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -231,7 +230,7 @@ def test_train_layer2_converges_on_every_fit(tiny_run, monkeypatch):
     sel = train_layer2(md, result.model.folds, config.H,
                        derive_seed(config.seed, 4), config.selection_metric,
                        max_iter=config.layer2.max_iter, tol=config.layer2.tol)
-    assert len(fits) == config.H * config.K + 1
+    assert len(fits) == config.H * config.K
     assert all(m.converged for m in fits)
     assert np.array_equal(sel.cv.per_fold, result.model.layer2.cv.per_fold)
 
@@ -307,10 +306,9 @@ def test_layer1_rows_one_at_a_time_equal_the_batch(tiny_run):
     assert np.array_equal(one_by_one, batch)
 
 
-@pytest.mark.parametrize("refit", [False, True])
-def test_predict_cbf_rows_one_at_a_time_equal_the_batch(tiny_run, refit):
+def test_predict_cbf_rows_one_at_a_time_equal_the_batch(tiny_run):
     _, result = tiny_run
-    model = dataclasses.replace(result.model, use_layer2_refit=refit)
+    model = result.model
     data = result.train_data
     batch = predict_cbf(model, data)
     one_by_one = [predict_cbf(model, data.subset([i]))[0]
