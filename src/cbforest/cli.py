@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .data import DataError, load_svmlight
+from .data import DataError, _decode, _read_bytes, load_svmlight
 from .ensemble import predict_cbf, run_cbf
 from .gbm import TrainingError
 from .metrics import (MetricError, MetricSpec, evaluate, logloss,
@@ -125,18 +126,18 @@ def cmd_predict(args):
 
 def _read_column(path, what):
     vals = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split("\t")[-1].split()[-1]
-            if lineno == 1 and tok in ("probability", "label", "score"):
-                continue  # header row from a predict output
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise DataError(f"non-numeric {what} at line {lineno}: {tok!r}")
+    lines = io.StringIO(_decode(_read_bytes(path), path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tok = line.split("\t")[-1].split()[-1]
+        if lineno == 1 and tok in ("probability", "label", "score"):
+            continue  # header row from a predict output
+        try:
+            vals.append(float(tok))
+        except ValueError:
+            raise DataError(f"non-numeric {what} at line {lineno}: {tok!r}")
     if not vals:
         raise DataError(f"no {what} values in {path}")
     return np.asarray(vals)

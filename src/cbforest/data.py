@@ -186,170 +186,153 @@ def _decode(raw, path):
 def load_svmlight(path, expect_label, zero_based=True, n_cols=None):
     """Parse an SVMLight text file (`<label> <idx>:<val> ...` per line).
 
-    The file is read once and parsed in bulk by array operations. A file the
-    bulk parser declines is parsed again line by line, which raises the
-    DataError naming the first offending line, or accepts the rare input only
-    it reads, such as non-ASCII digits.
+    The file is read once and parsed in bulk by array operations. A file
+    that fails a check raises the DataError of its first faulty token, in
+    file order, or one about the whole file when no line is at fault.
     """
     if expect_label not in ("continuous", "binary"):
         raise DataError(f"unknown expect_label {expect_label!r}")
     raw = _read_bytes(path)
-    ds = _parse_bulk(raw, expect_label, zero_based, n_cols)
-    if ds is None:
-        ds = _parse_lines(raw, path, expect_label, zero_based, n_cols)
-    return ds
-
-
-# Byte classes of the bulk parser. Blanks are the ASCII characters str.split()
-# separates tokens on, line ends those a text-mode file ends lines on. NUL is
-# declined because numpy's bytes dtype drops trailing NULs, which would read
-# "1\x00" as 1; non-ASCII bytes are declined because only the line loop
-# decodes text.
-_TOKEN, _COLON, _BLANK, _LINE_END, _DECLINED = range(5)
-_BYTE_CLASS = np.full(256, _DECLINED, dtype=np.uint8)
-_BYTE_CLASS[1:128] = _TOKEN
-_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _BLANK
-_BYTE_CLASS[list(b"\n\r")] = _LINE_END
-_BYTE_CLASS[ord(":")] = _COLON
-# Fields are padded to the longest one for the cast, so a longer field
-# declines the file rather than multiply its memory.
-_MAX_FIELD = 64
-
-
-def _cast_fields(buf, start, stop, dtype):
-    """Convert every byte range buf[start[i]:stop[i]] to `dtype` at once.
-
-    numpy casts bytes by the rules of Python's int() and float(), and raises
-    ValueError or OverflowError on a field they reject; so does a field
-    longer than _MAX_FIELD.
-    """
-    width = max(int((stop - start).max(initial=0)), 1)
-    if width > _MAX_FIELD:
-        raise ValueError(f"field longer than {_MAX_FIELD} bytes")
-    chars = np.zeros((start.size, width), dtype=np.uint8)
-    for j in range(width):
-        live = start + j < stop
-        chars[live, j] = buf[start[live] + j]
-    return chars.view(f"S{width}")[:, 0].astype(dtype)
-
-
-def _parse_bulk(raw, expect_label, zero_based, n_cols):
-    """Parse SVMLight bytes with array operations; None declines the file.
-
-    Every check of `_parse_lines` runs here over all tokens at once, the
-    range, order and NaN checks through SparseDataset's validation. Any
-    failure declines the file, so that `_parse_lines` reports it.
-    """
+    # NUL and non-ASCII bytes make their token malformed, but a file that
+    # holds any must still be UTF-8 text.
+    odd = not raw.isascii() or b"\0" in raw
+    if odd:
+        _decode(raw, path)
     buf = np.frombuffer(raw, dtype=np.uint8)
     cls = _BYTE_CLASS[buf]
-    if (cls == _DECLINED).any():
-        return None
     edges = np.flatnonzero(np.diff(cls <= _COLON, prepend=False, append=False))
     start, stop = edges[0::2], edges[1::2]
     if not start.size:
-        return None
+        raise DataError(f"no rows in {path}")
     # The first token of each non-blank line is its label. A "\r\n" counts
     # as two line ends here, which only adds a blank line.
-    line = np.searchsorted(np.flatnonzero(cls == _LINE_END), start)
+    line_ends = np.flatnonzero(cls == _LINE_END)
+    line = np.searchsorted(line_ends, start)
     is_label = np.ones(start.size, dtype=bool)
     is_label[1:] = line[1:] != line[:-1]
-    fstart, fstop = start[~is_label], stop[~is_label]
-    # A feature token holds exactly one colon: a second one would end up in
-    # its value, which float() rejects.
+    is_feature = ~is_label
+    fstart, fstop = start[is_feature], stop[is_feature]
+    # A feature token holds exactly one colon. One that does not is
+    # malformed, and its fields are split at its start.
     colons = np.flatnonzero(cls == _COLON)
     first_colon = np.searchsorted(colons, fstart)
-    if (np.searchsorted(colons, fstop) - first_colon != 1).any():
-        return None
-    colon = colons[first_colon]
-    try:
-        labels = _cast_fields(buf, start[is_label], stop[is_label], np.float64)
-        raw_idx = _cast_fields(buf, fstart, colon, np.int64)
-        values = _cast_fields(buf, colon + 1, fstop, np.float64)
-    except (ValueError, OverflowError):
-        return None
+    bad_feature = np.searchsorted(colons, fstop) - first_colon != 1
+    colon = (np.where(bad_feature, fstart, np.append(colons, 0)[first_colon])
+             if bad_feature.any() else colons[first_colon])
+    labels, bad_label = _cast_fields(raw, buf, start[is_label],
+                                     stop[is_label], float, odd)
+    raw_idx, bad_idx = _cast_fields(raw, buf, fstart, colon, int, odd)
+    values, bad_value = _cast_fields(raw, buf, colon + 1, fstop, float, odd)
+    for bad in (bad_idx, bad_value):
+        if bad is not None:
+            bad_feature |= bad
     off = 0 if zero_based else 1
-    if expect_label == "binary":
-        if not np.isin(labels, (0.0, 1.0)).all():
-            return None
-        kwargs = {"binary_labels": labels.astype(np.int8)}
-    else:
-        kwargs = {"continuous_labels": labels}
-    # Checked before the base is subtracted, which would wrap -2**63 around.
-    if (raw_idx < off).any():
-        return None
+    # (message, on label tokens, fault mask) in the order the checks run on
+    # one token. The base is checked before it is subtracted, which would
+    # wrap -2**63 around.
+    checks = [(_MALFORMED_LABEL, True, bad_label),
+              (_NON_BINARY, True, np.isin(labels, (0.0, 1.0), invert=True)
+               if expect_label == "binary" else None),
+              (_MALFORMED_FEATURE, False, bad_feature),
+              (_BELOW_BASE, False, raw_idx < off)]
     indices = raw_idx - off
-    if n_cols is None:
-        n_cols = int(indices.max(initial=-1)) + 1
-    # Row r's features follow its label, the (r + 1)-th label token.
     label_at = np.flatnonzero(is_label)
-    indptr = np.append(label_at - np.arange(label_at.size), indices.size)
-    try:
-        return SparseDataset(label_at.size, n_cols, indptr, indices, values,
-                             **kwargs)
-    except DataError:
-        return None
+    if not any(mask is not None and mask.any() for _, _, mask in checks):
+        if expect_label == "binary":
+            kwargs = {"binary_labels": labels.astype(np.int8)}
+        else:
+            kwargs = {"continuous_labels": labels}
+        # Row r's features follow its label, the (r + 1)-th label token.
+        indptr = np.append(label_at - np.arange(label_at.size), indices.size)
+        try:
+            return SparseDataset(
+                label_at.size,
+                int(indices.max(initial=-1)) + 1 if n_cols is None else n_cols,
+                indptr, indices, values, **kwargs)
+        except (DataError, OverflowError):  # also an index past int64
+            pass
+    # The file has a fault. Name its first faulty token, for the first
+    # check that token fails.
+    fline = line[is_feature]
+    unsorted = np.zeros(indices.size, dtype=bool)
+    unsorted[1:] = (fline[1:] == fline[:-1]) & (indices[1:] <= indices[:-1])
+    checks += [(_UNSORTED, False, unsorted), (_NAN, False, np.isnan(values))]
+    feature_at = np.flatnonzero(is_feature)
+    hits = [(message, (label_at if on_label else feature_at)[mask])
+            for message, on_label, mask in checks if mask is not None]
+    hits = [(message, int(at[0])) for message, at in hits if at.size]
+    if hits:
+        t = min(at for _, at in hits)
+        message = next(message for message, at in hits if at == t)
+        text = raw[start[t]:stop[t]].decode()
+        if message is _NON_BINARY:
+            text = _fmt(float(text))
+        lineno = (np.searchsorted(line_ends, start[t])
+                  - raw.count(b"\r\n", 0, start[t]) + 1)
+        raise DataError(message.format(lineno, text))
+    max_idx = max(indices.tolist(), default=-1)
+    if n_cols is None and max_idx > _MAX_INDEX:
+        raise DataError(f"feature index {max_idx} exceeds the largest "
+                        f"supported index {_MAX_INDEX}")
+    if n_cols is not None and max_idx >= n_cols:
+        raise DataError(f"feature index {max_idx} exceeds n_cols={n_cols}")
+    # The one check of SparseDataset's that no fault above accounts for.
+    raise DataError("non-finite feature value")
 
 
+# Byte classes of the parser. Blanks are the ASCII characters str.split()
+# separates tokens on, line ends those a text-mode file ends lines on.
+# Every other byte, NUL and non-ASCII ones too, is a token byte.
+_TOKEN, _COLON, _BLANK, _LINE_END = range(4)
+_BYTE_CLASS = np.full(256, _TOKEN, dtype=np.uint8)
+_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _BLANK
+_BYTE_CLASS[list(b"\n\r")] = _LINE_END
+_BYTE_CLASS[ord(":")] = _COLON
+# Fields are padded to the longest one for numpy's cast, so a longer field
+# is malformed rather than multiply its memory.
+_MAX_FIELD = 64
 # Feature indices are stored as int64.
 _MAX_INDEX = np.iinfo(np.int64).max
+# What the first faulty token is reported as, given its line number and text.
+_MALFORMED_LABEL = "malformed label at line {0}: {1!r}"
+_NON_BINARY = "non-binary label {1} at line {0}"
+_MALFORMED_FEATURE = "malformed feature at line {0}: {1!r}"
+_BELOW_BASE = "feature index below base at line {0}: {1!r}"
+_UNSORTED = "unsorted or duplicate feature index at line {0}: {1!r}"
+_NAN = "NaN feature value at line {0}"
 
 
-def _parse_lines(raw, path, expect_label, zero_based, n_cols):
-    """Parse SVMLight bytes one line and one token at a time.
+def _cast_fields(raw, buf, start, stop, kind, odd):
+    """Convert every field raw[start[i]:stop[i]] with `kind`, int or float.
 
-    It parses every file `_parse_bulk` declines and is the reference the
-    tests hold the bulk parser to.
+    Returns the values and a mask of the malformed fields, None if there are
+    none. numpy casts all fields at once by the rules of Python's int() and
+    float(). Where that raises, or the file holds NUL or non-ASCII bytes
+    (`odd`), each field is converted alone: it is malformed if kind() rejects
+    it, it holds such a byte or it is longer than _MAX_FIELD. An int past
+    int64 is then kept as a Python int.
     """
-    rows, labels = [], []
-    off = 0 if zero_based else 1
-    lines = io.StringIO(_decode(raw, path), newline=None)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        toks = line.split()
+    width = max(int((stop - start).max(initial=0)), 1)
+    if width <= _MAX_FIELD and not odd:
+        chars = np.zeros((start.size, width), dtype=np.uint8)
+        for j in range(width):
+            live = start + j < stop
+            chars[live, j] = buf[start[live] + j]
         try:
-            label = float(toks[0])
+            return chars.view(f"S{width}")[:, 0].astype(kind), None
+        except (ValueError, OverflowError):
+            pass
+    out, bad = [], np.zeros(start.size, dtype=bool)
+    for i, (a, b) in enumerate(zip(start.tolist(), stop.tolist())):
+        field = raw[a:b]
+        try:
+            if b - a > _MAX_FIELD or not field.isascii() or b"\0" in field:
+                raise ValueError(field)
+            out.append(kind(field))
         except ValueError:
-            raise DataError(f"malformed label at line {lineno}: {toks[0]!r}")
-        if expect_label == "binary" and label not in (0.0, 1.0):
-            raise DataError(f"non-binary label {_fmt(label)} at line {lineno}")
-        pairs = []
-        prev = -1
-        for tok in toks[1:]:
-            try:
-                idx_s, val_s = tok.split(":", 1)
-                idx = int(idx_s) - off
-                val = float(val_s)
-            except ValueError:
-                raise DataError(f"malformed feature at line {lineno}: {tok!r}")
-            if idx < 0:
-                raise DataError(f"feature index below base at line {lineno}: {tok!r}")
-            if idx <= prev:
-                raise DataError(
-                    f"unsorted or duplicate feature index at line {lineno}: {tok!r}")
-            if np.isnan(val):
-                raise DataError(f"NaN feature value at line {lineno}")
-            prev = idx
-            pairs.append((idx, val))
-        rows.append(pairs)
-        labels.append(label)
-    if not rows:
-        raise DataError(f"no rows in {path}")
-    max_idx = max((p[-1][0] for p in rows if p), default=-1)
-    if n_cols is None:
-        if max_idx > _MAX_INDEX:
-            raise DataError(f"feature index {max_idx} exceeds the largest "
-                            f"supported index {_MAX_INDEX}")
-        n_cols = max_idx + 1
-    elif max_idx >= n_cols:
-        raise DataError(f"feature index {max_idx} exceeds n_cols={n_cols}")
-    kwargs = {}
-    if expect_label == "binary":
-        kwargs["binary_labels"] = np.asarray(labels, dtype=np.int8)
-    else:
-        kwargs["continuous_labels"] = np.asarray(labels, dtype=float)
-    return SparseDataset.from_rows(rows, n_cols=n_cols, **kwargs)
+            out.append(0)
+            bad[i] = True
+    return np.array(out, dtype=object if kind is int else float), bad
 
 
 def load_csv(path, label_column, feature_columns=None, expect_label="binary"):
@@ -371,6 +354,8 @@ def load_csv(path, label_column, feature_columns=None, expect_label="binary"):
     feat_i = [header.index(c) for c in feature_columns]
     rows, labels = [], []
     for lineno, rec in enumerate(reader, start=2):
+        if len(rec) < 2 and not "".join(rec).strip():
+            continue  # a blank line
         try:
             label = float(rec[label_i])
             vals = [float(rec[i]) for i in feat_i]

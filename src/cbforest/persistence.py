@@ -5,7 +5,9 @@ and base models cut at their optimal round (each tree as its flat node
 arrays, gblinear deltas summed into one), the layer-2 coefficient vectors
 used at prediction, the column order and the run config. Training reports
 live in the TSV files beside it. Trees are checked on load, so a walk of
-any loaded tree ends at one of its leaves.
+any loaded tree ends at one of its leaves, and so is the rest of the model:
+every bundle has base models, and every layer-2 vector has an intercept and
+one coefficient per column of the manifest.
 
 Floats round-trip exactly through Python's json (repr-based), so a saved
 model reproduces its in-memory predictions bit for bit.
@@ -109,6 +111,19 @@ def model_from_dict(d) -> CbfModel:
     """The model a stored document describes. An older archive may also hold
     `use_layer2_refit`; when true its one beta is a refit, which predicts as
     the average of one model, so the key is ignored."""
+    if not d["bundles"]:
+        raise PersistenceError("malformed archive: it has no bundles")
+    if not all(b["models"] and all(b["models"]) for b in d["bundles"]):
+        raise PersistenceError("malformed archive: a bundle has no base models")
+    width = 1 + len(d["column_order"])
+    if not d["layer2_betas"]:
+        raise PersistenceError(
+            "malformed archive: it has no layer-2 coefficient vector")
+    for b in d["layer2_betas"]:
+        if len(b) != width:
+            raise PersistenceError(
+                f"malformed archive: a layer-2 coefficient vector has length "
+                f"{len(b)}, not 1 + {width - 1} columns")
     betas = [ElasticNetModel(beta=np.asarray(b), converged=None, n_iter=None,
                              single_class_warning=None)
              for b in d["layer2_betas"]]

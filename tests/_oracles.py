@@ -3,16 +3,19 @@
 Everything here but the last section is written with plain Python loops
 straight from the metric and split-gain definitions, deliberately sharing no
 code (and no vectorized shortcuts) with the package implementation. The last
-section keeps the package's previous layer-1 builders, which the current ones
-must match bit for bit. The tie rule for the rank-based early-retrieval
+two sections keep the package's previous layer-1 builders, which the current
+ones must match bit for bit, and its previous line-by-line SVMLight parser. The tie rule for the rank-based early-retrieval
 metrics — a stable shuffle seeded with 902119 before the descending sort — is
 part of the documented metric contract and is re-derived here independently.
 """
+import io
 import math
 import random
 
 import numpy as np
 
+from cbforest.data import (_MAX_INDEX, DataError, SparseDataset, _decode,
+                           _fmt)
 from cbforest.gbm import DecisionTree, LinearDelta, _TrainMatrix
 
 TIE_SEED = 902119
@@ -569,3 +572,64 @@ def column_sweep_oracle(g, h, data, params, current_bias=0.0,
             s[cr] += d * cv
             dw[j] = d
     return LinearDelta(bias=float(db), weights=dw)
+
+
+# ---------------------------------------------------------------------------
+# The package's previous SVMLight parser. It reads a file line by line and
+# token by token, which the bulk parser `load_svmlight` must match: the same
+# dataset, byte for byte, or the same DataError. Unlike the package it also
+# reads non-ASCII digits and blanks and fields of any length.
+
+def svmlight_lines_oracle(raw, path, expect_label, zero_based, n_cols):
+    """Parse SVMLight bytes one line and one token at a time, raising the
+    DataError of the first offending line."""
+    rows, labels = [], []
+    off = 0 if zero_based else 1
+    lines = io.StringIO(_decode(raw, path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        toks = line.split()
+        try:
+            label = float(toks[0])
+        except ValueError:
+            raise DataError(f"malformed label at line {lineno}: {toks[0]!r}")
+        if expect_label == "binary" and label not in (0.0, 1.0):
+            raise DataError(f"non-binary label {_fmt(label)} at line {lineno}")
+        pairs = []
+        prev = -1
+        for tok in toks[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s) - off
+                val = float(val_s)
+            except ValueError:
+                raise DataError(f"malformed feature at line {lineno}: {tok!r}")
+            if idx < 0:
+                raise DataError(f"feature index below base at line {lineno}: {tok!r}")
+            if idx <= prev:
+                raise DataError(
+                    f"unsorted or duplicate feature index at line {lineno}: {tok!r}")
+            if np.isnan(val):
+                raise DataError(f"NaN feature value at line {lineno}")
+            prev = idx
+            pairs.append((idx, val))
+        rows.append(pairs)
+        labels.append(label)
+    if not rows:
+        raise DataError(f"no rows in {path}")
+    max_idx = max((p[-1][0] for p in rows if p), default=-1)
+    if n_cols is None:
+        if max_idx > _MAX_INDEX:
+            raise DataError(f"feature index {max_idx} exceeds the largest "
+                            f"supported index {_MAX_INDEX}")
+        n_cols = max_idx + 1
+    elif max_idx >= n_cols:
+        raise DataError(f"feature index {max_idx} exceeds n_cols={n_cols}")
+    kwargs = {}
+    if expect_label == "binary":
+        kwargs["binary_labels"] = np.asarray(labels, dtype=np.int8)
+    else:
+        kwargs["continuous_labels"] = np.asarray(labels, dtype=float)
+    return SparseDataset.from_rows(rows, n_cols=n_cols, **kwargs)

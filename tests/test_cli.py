@@ -370,6 +370,36 @@ def test_archive_rejects_a_missing_field(tiny_run, tmp_path):
         load_archive(path)
 
 
+def _no_bundles(doc):
+    doc["model"]["bundles"] = []
+
+
+def _empty_fold_row(doc):
+    doc["model"]["bundles"][-1]["models"][-1] = []
+
+
+def _no_layer2_betas(doc):
+    doc["model"]["layer2_betas"] = []
+
+
+def _short_layer2_beta(doc):
+    doc["model"]["layer2_betas"][0].pop()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_no_bundles, "it has no bundles"),
+    (_empty_fold_row, "a bundle has no base models"),
+    (_no_layer2_betas, "it has no layer-2 coefficient vector"),
+    (_short_layer2_beta, "a layer-2 coefficient vector has length"),
+])
+def test_predict_rejects_an_archive_it_cannot_score_with(
+        tiny_run, tiny_dataset, tmp_path, capsys, edit, message):
+    path = _edited_archive(tiny_run, tmp_path, edit, rechecksum=True)
+    assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
+    assert capsys.readouterr().err.startswith(
+        f"archive error: malformed archive: {message}")
+
+
 def test_model_dict_is_json_serializable(tiny_run):
     _, result = tiny_run
     json.dumps(model_to_dict(result.model))
@@ -641,6 +671,20 @@ def test_evaluate_length_mismatch(tmp_path):
     write_lines(tmp_path / "l.txt", [1, 0])
     assert run_cli(["evaluate", "--scores", str(tmp_path / "s.txt"),
                     "--labels", str(tmp_path / "l.txt"), "--auc-roc"]) == 2
+
+
+def test_evaluate_unreadable_input_exits_two(tmp_path, capsys):
+    write_lines(tmp_path / "l.txt", [1, 0])
+    (tmp_path / "bad.txt").write_bytes(b"0.5\n0.\xff\n")
+    for path, message in ((tmp_path / "missing.txt", "cannot read {}: "),
+                          (tmp_path, "cannot read {}: "),
+                          (tmp_path / "bad.txt", "{} is not UTF-8 text")):
+        for scores, labels in ((path, tmp_path / "l.txt"),
+                               (tmp_path / "l.txt", path)):
+            assert run_cli(["evaluate", "--scores", str(scores),
+                            "--labels", str(labels), "--auc-roc"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: " + message.format(path))
 
 
 def test_evaluate_reliability_table(tmp_path, capsys):

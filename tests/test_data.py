@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbforest.data import (DataError, FoldAssignment, LabelMapping,
-                           SparseDataset, _parse_bulk, _parse_lines, binarize,
-                           load_csv, load_svmlight, stratified_kfold)
+                           SparseDataset, binarize, load_csv, load_svmlight,
+                           stratified_kfold)
 from cbforest.synth import make_synthetic
+
+from _oracles import svmlight_lines_oracle
 
 
 # ------------------------------------------------------------ svmlight
@@ -93,7 +95,7 @@ def test_svmlight_round_trip(tmp_path):
     assert np.array_equal(back.continuous_labels, ds.continuous_labels)
 
 
-# ------------------------------------------- bulk parse vs the line loop
+# ------------------------------------- bulk parse vs the line-loop oracle
 
 def _assert_same_dataset(a, b):
     assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
@@ -160,16 +162,18 @@ def _render(draw, rows):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), binary=st.booleans(), zero_based=st.booleans(),
        override=st.booleans())
-def test_bulk_parse_equals_line_loop(data, binary, zero_based, override):
+def test_bulk_parse_equals_line_loop(tmp_path_factory, data, binary,
+                                     zero_based, override):
     base = 0 if zero_based else 1
     rows = data.draw(_rows(binary, base))
     raw = data.draw(_render(rows))[0].encode("ascii")
     label = "binary" if binary else "continuous"
     n_cols = _MAX_COL + 3 if override else None
-    bulk = _parse_bulk(raw, label, zero_based, n_cols)
-    assert bulk is not None
+    path = tmp_path_factory.getbasetemp() / "rows.svm"
+    path.write_bytes(raw)
     _assert_same_dataset(
-        bulk, _parse_lines(raw, "f.svm", label, zero_based, n_cols))
+        load_svmlight(path, label, zero_based=zero_based, n_cols=n_cols),
+        svmlight_lines_oracle(raw, path, label, zero_based, n_cols))
 
 
 _BAD_LABELS = ["abc", "1:1", "--1", "0x1", "1_", "nan(1)", "1\x00", "\x7f"]
@@ -230,9 +234,9 @@ def _inject(draw, kind, toks, base):
        override=st.booleans())
 def test_bulk_parse_declines_what_the_line_loop_rejects(
         tmp_path_factory, data, binary, zero_based, override):
-    """A fault at a random line, then a different one on a later line: the
-    bulk parser declines each file, and load_svmlight reports the first
-    fault as the line loop finds it."""
+    """A fault at a random line, then a different one on a later line:
+    load_svmlight reports the first fault of each file, with the message
+    the line-loop oracle raises."""
     base = 0 if zero_based else 1
     kinds = [k for k in _LINE_FAULTS + _FILE_FAULTS
              if binary or k != "non_binary"]
@@ -261,10 +265,12 @@ def test_bulk_parse_declines_what_the_line_loop_rejects(
         else:
             expected = "non-finite feature value"
         raw = text.encode("ascii")
-        assert _parse_bulk(raw, label, zero_based, n_cols) is None
         path.write_bytes(raw)
         with pytest.raises(DataError) as exc:
             load_svmlight(path, label, zero_based=zero_based, n_cols=n_cols)
+        assert str(exc.value) == expected
+        with pytest.raises(DataError) as exc:
+            svmlight_lines_oracle(raw, path, label, zero_based, n_cols)
         assert str(exc.value) == expected
 
 
@@ -284,10 +290,9 @@ def test_bulk_parse_of_benchmark_shaped_files(tmp_path, n_features, density,
     ds.save_svmlight(path, "continuous")
     raw = path.read_bytes()
     for n_cols in (None, n_features):
-        bulk = _parse_bulk(raw, "continuous", True, n_cols)
-        assert bulk is not None
+        bulk = load_svmlight(path, "continuous", n_cols=n_cols)
         _assert_same_dataset(
-            bulk, _parse_lines(raw, path, "continuous", True, n_cols))
+            bulk, svmlight_lines_oracle(raw, path, "continuous", True, n_cols))
     _assert_same_dataset(bulk, SparseDataset(
         ds.n_rows, n_features, ds.indptr, ds.indices, ds.values,
         continuous_labels=ds.continuous_labels))
@@ -299,14 +304,20 @@ def test_bulk_parse_of_benchmark_shaped_files(tmp_path, n_features, density,
     ("0." + "0" * 70 + "1 0:1\n", 1e-71),   # a field too long to pad
 ])
 def test_line_loop_reads_what_the_bulk_parser_declines(tmp_path, text, label):
+    """Numbers are ASCII and at most 64 bytes long: load_svmlight rejects
+    these three rows, which the line-loop oracle reads."""
     raw = text.encode("utf-8")
-    assert _parse_bulk(raw, "continuous", True, None) is None
     path = tmp_path / "d.svm"
     path.write_bytes(raw)
-    ds = load_svmlight(path, expect_label="continuous")
-    _assert_same_dataset(ds, _parse_lines(raw, path, "continuous", True, None))
+    ds = svmlight_lines_oracle(raw, path, "continuous", True, None)
     assert list(ds.continuous_labels) == [label]
     assert ds.row_pairs(0) == [(0, 1.0)]
+    # ASCII blanks alone separate tokens, so each label token runs up to
+    # the first ASCII space or the line end.
+    token = text.split(" ")[0].rstrip("\n")
+    with pytest.raises(DataError) as exc:
+        load_svmlight(path, expect_label="continuous")
+    assert str(exc.value) == f"malformed label at line 1: {token!r}"
 
 
 def test_undecodable_input_is_a_data_error(tmp_path):
@@ -378,6 +389,16 @@ def test_load_csv_non_numeric_cell(tmp_path):
     p.write_text("label,f0\n1,abc\n")
     with pytest.raises(DataError):
         load_csv(p, "label")
+
+
+def test_load_csv_skips_blank_lines(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("label,f0\n1,2\n\n \n0,0\n\n")
+    ds = load_csv(p, "label")
+    assert ds.n_rows == 2
+    assert ds.row_pairs(0) == [(0, 2.0)]
+    assert ds.row_pairs(1) == []
+    assert list(ds.binary_labels) == [1, 0]
 
 
 def test_load_csv_non_finite_binary_label(tmp_path):
