@@ -32,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _at_least_one(text):
+    """An argparse type: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _fmt(v):
     if isinstance(v, float) and np.isnan(v):
         return "NA"
@@ -233,7 +244,7 @@ def build_parser():
     p.add_argument("--reliability-score", action="store_true")
     p.add_argument("--reliability", action="store_true",
                    help="also print the quantile bin table")
-    p.add_argument("--n-bins", type=int, default=10)
+    p.add_argument("--n-bins", type=_at_least_one, default=10)
     p.add_argument("--mean", action="store_true",
                    help="report logloss as a mean instead of a sum")
     p.set_defaults(func=cmd_evaluate)

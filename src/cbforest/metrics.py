@@ -3,6 +3,14 @@
 Implements AUC-ROC (midrank Mann-Whitney), average-precision AUC-PRC,
 BEDROC-style early-retrieval AUC, enrichment factor at a top fraction,
 summed logistic loss, and a quantile-binned reliability score.
+
+AUC-ROC sums the positives' midranks over the sorted scores: a score with
+`lo` scores below it and `hi` at or below it shares the ranks lo+1..hi with
+its ties, so its midrank is (lo + hi + 1) / 2, and both counts come from a
+binary search of the sorted scores. The sum is taken in integers and halved
+once; midranks are half-integers, so it equals the float sum of
+`scipy.stats.rankdata` ranks bit for bit (kept as a test oracle). Any NaN
+score gives NaN, as `rankdata` does.
 """
 from __future__ import annotations
 
@@ -10,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 # Fixed shuffle seed used to resolve score ties deterministically in the
 # rank-based metrics (bedroc, enrichment factor).
@@ -109,8 +116,14 @@ def auc_roc(scores, labels) -> float:
     """Mann-Whitney AUC with midrank tie handling."""
     scores, labels, n_pos = _check(scores, labels, need_negative=True)
     n_neg = len(labels) - n_pos
-    ranks = rankdata(scores)
-    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
+    if np.isnan(scores).any():
+        return math.nan
+    s = np.sort(scores)
+    pos = scores[labels == 1]
+    twice_rank_sum = (np.searchsorted(s, pos, "left").sum()
+                      + np.searchsorted(s, pos, "right").sum() + n_pos)
+    rank_sum = int(twice_rank_sum) / 2.0
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0)
                  / (n_pos * n_neg))
 
 
@@ -194,6 +207,8 @@ def reliability_bins(scores, labels, n_bins=10) -> ReliabilityBins:
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise MetricError("scores and labels length mismatch")
+    if n_bins < 1:
+        raise MetricError("n_bins must be at least 1")
     n = len(scores)
     if n < n_bins:
         raise MetricError(f"need at least n_bins={n_bins} rows, got {n}")

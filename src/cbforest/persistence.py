@@ -155,8 +155,8 @@ def save_archive(path, model: CbfModel, config_dict):
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
-            json.dump(doc, f, sort_keys=True)
-            f.write("\n")
+            # json.dumps, unlike json.dump, runs the C encoder
+            f.write(json.dumps(doc, sort_keys=True) + "\n")
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

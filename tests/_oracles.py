@@ -1,18 +1,21 @@
 """Independent from-definition oracles used by the test suite.
 
-Everything here but the last section is written with plain Python loops
+Everything here but the last sections is written with plain Python loops
 straight from the metric and split-gain definitions, deliberately sharing no
 code (and no vectorized shortcuts) with the package implementation. The last
-two sections keep the package's previous layer-1 builders, which the current
-ones must match bit for bit, and its previous line-by-line SVMLight parser. The tie rule for the rank-based early-retrieval
-metrics — a stable shuffle seeded with 902119 before the descending sort — is
-part of the documented metric contract and is re-derived here independently.
+three sections keep the package's previous layer-1 builders, which the
+current ones must match bit for bit, its previous line-by-line SVMLight
+parser and its previous `rankdata` AUC-ROC. The tie rule for the rank-based
+early-retrieval metrics — a stable shuffle seeded with 902119 before the
+descending sort — is part of the documented metric contract and is
+re-derived here independently.
 """
 import io
 import math
 import random
 
 import numpy as np
+from scipy.stats import rankdata
 
 from cbforest.data import (_MAX_INDEX, DataError, SparseDataset, _decode,
                            _fmt)
@@ -633,3 +636,18 @@ def svmlight_lines_oracle(raw, path, expect_label, zero_based, n_cols):
     else:
         kwargs["continuous_labels"] = np.asarray(labels, dtype=float)
     return SparseDataset.from_rows(rows, n_cols=n_cols, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The package's previous AUC-ROC, which took the midranks from scipy's
+# `rankdata`. `auc_roc` must return the same float, NaN where this is NaN.
+
+def auc_roc_rankdata_oracle(scores, labels):
+    """Mann-Whitney AUC from the sum of the positives' `rankdata` midranks."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).astype(np.int8)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    ranks = rankdata(scores)
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
+                 / (n_pos * n_neg))

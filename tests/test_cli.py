@@ -5,11 +5,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbforest
 from cbforest.cli import main
 from cbforest.config import ConfigError, Layer2Config, RunConfig
 from cbforest.elastic_net import (ElasticNetModel, fit_elastic_net,
@@ -228,7 +231,7 @@ def test_failed_save_keeps_the_previous_archive(tiny_run, tmp_path,
     def fail(*args, **kwargs):
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(json, "dump", fail)
+    monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError, match="no space"):
         save_archive(path, result.model, config.to_dict())
     monkeypatch.undo()
@@ -629,6 +632,45 @@ def test_predict_corrupted_archive_exits_two(cli_train, tiny_dataset,
     assert code == 2
 
 
+# Runs the CLI on its arguments, then prints its exit code and the modules
+# the process loaded as the last line of stdout.
+_MODULES_AFTER_CLI = """
+import json, sys
+from cbforest.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    print(json.dumps([exc.code, sorted(sys.modules)]))
+"""
+
+
+def test_train_and_predict_load_neither_scipy_stats_nor_optimize(
+        tiny_dataset, tmp_path):
+    # each would cost a run that never calls it time and memory at start-up
+    cfg = tiny_config_dict(tiny_dataset, H=2, K=2, max_rounds=30,
+                           patience=10, output_dir=str(tmp_path))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(cbforest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for argv in (["train", "--config", str(cfg_path)],
+                 ["predict", "--model", str(tmp_path / "model.cbf"),
+                  "--input", tiny_dataset["path"],
+                  "--output", str(tmp_path / "scores.tsv")]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_AFTER_CLI, *argv],
+            capture_output=True, text=True, env=env, timeout=600, check=False)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.strip().split("\n")[-1])
+        assert code == 0, proc.stderr
+        assert "cbforest.metrics" in modules
+        assert "cbforest.elastic_net" in modules
+        assert [m for m in modules
+                if m.split(".")[:2] in (["scipy", "stats"],
+                                        ["scipy", "optimize"])] == []
+
+
 # ----------------------------------------------------------- cmd_evaluate
 
 def write_lines(path, values):
@@ -699,6 +741,21 @@ def test_evaluate_reliability_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bin\tcount\tmean_predicted\tpositive_rate" in out
     assert len(out.strip().split("\n")) >= 11
+
+
+@pytest.mark.parametrize("flag", ["--reliability", "--reliability-score"])
+@pytest.mark.parametrize("n_bins", ["0", "-1"])
+def test_evaluate_n_bins_below_one_is_a_usage_error(tmp_path, capsys, flag,
+                                                    n_bins):
+    write_lines(tmp_path / "s.txt", [0.1, 0.9, 0.3, 0.7])
+    write_lines(tmp_path / "l.txt", [0, 1, 0, 1])
+    assert run_cli(["evaluate", "--scores", str(tmp_path / "s.txt"),
+                    "--labels", str(tmp_path / "l.txt"), flag,
+                    "--n-bins", n_bins]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument --n-bins: must be at least 1, got {n_bins}"
+            in captured.err)
 
 
 # -------------------------------------------------------------- cmd_synth

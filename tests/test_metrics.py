@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbforest.metrics import (MetricError, MetricSpec, auc_bed, auc_prc,
                               auc_roc, enrichment_factor, evaluate, logloss,
@@ -10,8 +12,9 @@ from cbforest.metrics import (MetricError, MetricSpec, auc_bed, auc_prc,
                               reliability_score)
 
 from _oracles import (auc_bed_oracle, auc_prc_oracle, auc_roc_oracle,
-                      enrichment_factor_oracle, logloss_oracle, make_rng,
-                      random_instance, reliability_score_oracle)
+                      auc_roc_rankdata_oracle, enrichment_factor_oracle,
+                      logloss_oracle, make_rng, random_instance,
+                      reliability_score_oracle)
 
 # High-precision constants frozen from an independent evaluator (mpmath,
 # 40 significant digits) before the implementation was finalized.
@@ -49,6 +52,36 @@ def test_auc_roc_matches_pair_counting_exactly():
         scores, labels = random_instance(rng)
         ours = auc_roc(np.array(scores), np.array(labels))
         assert ours == pytest.approx(auc_roc_oracle(scores, labels), abs=1e-12)
+
+
+# Values that tie, compare equal with different bits (±0.0), sort to either
+# end (±inf) or compare with nothing (NaN).
+_AUC_EDGE_VALUES = [0.0, -0.0, 1.0, 0.5, -2.5, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _scored_rows(draw):
+    n = draw(st.integers(2, 40))
+    value = st.one_of(st.sampled_from(_AUC_EDGE_VALUES), st.floats())
+    if draw(st.booleans()):
+        scores = [draw(value)] * n
+    else:
+        scores = draw(st.lists(value, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                  .filter(lambda l: 0 < sum(l) < n))
+    return scores, labels
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_scored_rows())
+def test_auc_roc_equals_the_rankdata_sum_bit_for_bit(rows):
+    scores, labels = rows
+    ours = auc_roc(scores, labels)
+    theirs = auc_roc_rankdata_oracle(scores, labels)
+    assert math.isnan(ours) == any(math.isnan(s) for s in scores)
+    assert math.isnan(theirs) == math.isnan(ours)
+    if not math.isnan(ours):
+        assert ours == theirs
 
 
 # ---------------------------------------------------------------- auc_prc
@@ -232,6 +265,12 @@ def test_reliability_bins_all_tied_scores():
 def test_reliability_bins_too_few_rows():
     with pytest.raises(MetricError):
         reliability_bins([0.5] * 5, [1, 0, 1, 0, 1], 10)
+
+
+@pytest.mark.parametrize("n_bins", [0, -1])
+def test_reliability_bins_need_at_least_one_bin(n_bins):
+    with pytest.raises(MetricError, match="n_bins must be at least 1"):
+        reliability_bins([0.5] * 5, [1, 0, 1, 0, 1], n_bins)
 
 
 def test_reliability_score_perfectly_calibrated():
