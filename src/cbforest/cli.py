@@ -69,16 +69,13 @@ def cmd_train(args):
     try:
         config = RunConfig.from_dict(raw)
         config.validate_paths()
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         result = run_cbf(config)
-    except ConfigError as e:   # a sampling range is checked when drawn
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError,) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, MetricError) as e:

@@ -1,11 +1,18 @@
-"""Run configuration: schema validation and defaults for a training run."""
+"""Run configuration: frozen dataclasses whose fields are the JSON keys of a
+run, each default stated once, in its field, and each value checked when the
+config is loaded."""
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .elastic_net import MAX_ITER, TOL, check_solver_settings
+from .data import DIRECTIONS, GREATER_IS_POSITIVE, LabelMapping
+from .elastic_net import MAX_ITER, TOL, ElasticNetParams, check_solver_settings
+from .gbm import LinearHyperParams, TreeHyperParams
 from .metrics import MetricError, MetricSpec
 
 
@@ -15,94 +22,190 @@ class ConfigError(ValueError):
 
 _LABEL_KINDS = ("binary", "continuous")
 _BOOSTER_MIXES = ("alternate", "gbtree", "gblinear")
-_DIRECTIONS = ("greater_is_positive", "less_is_positive")
+
+# Sampling ranges for the randomized hyper-parameter draws. Encodings:
+#   ("log", lo, hi)                log-uniform
+#   ("uniform", lo, hi)            uniform
+#   ("int", lo, hi)                uniform integer, inclusive
+#   ("zero_or_log", p0, lo, hi)    0 with probability p0, else log-uniform
+#   ("zero_or_uniform", p0, lo, hi)
+# A sample draws its group's parameters in the order listed here, which
+# overrides keep.
+DEFAULT_RANGES = {
+    "tree": {
+        "learning_rate": ("log", 0.01, 0.3),
+        "max_depth": ("int", 3, 10),
+        "min_child_weight": ("log", 1.0, 64.0),
+        "gamma": ("zero_or_log", 0.5, 1e-3, 10.0),
+        "subsample": ("uniform", 0.5, 1.0),
+        "colsample_bytree": ("uniform", 0.5, 1.0),
+        "colsample_bylevel": ("uniform", 0.5, 1.0),
+        "reg_lambda": ("log", 0.1, 100.0),
+        "reg_alpha": ("zero_or_log", 0.5, 1e-3, 10.0),
+        "max_delta_step": ("zero_or_uniform", 0.75, 1.0, 10.0),
+    },
+    "linear": {
+        "reg_lambda": ("log", 1e-3, 100.0),
+        "reg_alpha": ("log", 1e-3, 100.0),
+        "reg_lambda_bias": ("log", 1e-3, 100.0),
+        "learning_rate": ("log", 0.01, 0.3),
+    },
+    "layer2": {
+        "lambda1": ("log", 1e-6, 1.0),
+        "lambda2": ("log", 1e-6, 1.0),
+    },
+}
+_RANGE_PARAMS = {"tree": TreeHyperParams, "linear": LinearHyperParams,
+                 "layer2": ElasticNetParams}
+_RANGE_KINDS = ("log", "uniform", "int", "zero_or_log", "zero_or_uniform")
 
 
-def _require(d, key, types, where=""):
-    name = f"{where}{key}"
-    if key not in d:
-        raise ConfigError(f"missing required field {name!r}")
-    v = d[key]
-    if not isinstance(v, types) or isinstance(v, bool) and bool not in _astuple(types):
-        raise ConfigError(f"field {name!r} has wrong type")
-    return v
+def _is_number(v):
+    """A finite JSON number; huge integers are not finite floats."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
-def _astuple(t):
-    return t if isinstance(t, tuple) else (t,)
-
-
-def _optional(d, key, types, default, where=""):
-    if key not in d:
-        return default
-    v = d[key]
-    if v is None:
-        return default
-    if bool not in _astuple(types) and isinstance(v, bool):
-        raise ConfigError(f"field {where}{key!r} has wrong type")
-    if not isinstance(v, types):
-        raise ConfigError(f"field {where}{key!r} has wrong type")
-    return v
-
-
-def _reject_unknown(d, allowed, where):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def metric_spec_from_dict(d, where):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(d, ("kind", "t", "alpha", "n_bins"), where)
+def _check_range(spec, params, name, where):
+    """`spec` as a tuple, once it is a list (or tuple) of a known kind with its
+    finite bounds, lo <= hi, log bounds above 0, a zero probability in
+    [0, 1], integer bounds for an integer parameter, and `params` accepts
+    each endpoint (and 0 for a zero_or_* kind). Nothing is drawn."""
+    if not isinstance(spec, (list, tuple)) or not spec \
+            or spec[0] not in _RANGE_KINDS:
+        raise ConfigError(f"{where}: must be a list [kind, bounds...] with "
+                          f"kind one of {list(_RANGE_KINDS)}")
+    kind, *bounds = spec
+    zero_or = kind.startswith("zero_or_")
+    if len(bounds) != 2 + zero_or or not all(map(_is_number, bounds)):
+        raise ConfigError(f"{where}: {kind!r} takes {2 + zero_or} finite numbers")
+    if zero_or and not 0 <= bounds.pop(0) <= 1:
+        raise ConfigError(f"{where}: the probability of 0 must lie in [0, 1]")
+    lo, hi = bounds
+    if lo > hi:
+        raise ConfigError(f"{where}: lower bound {lo} exceeds upper bound {hi}")
+    if kind.endswith("log") and lo <= 0:
+        raise ConfigError(f"{where}: log bounds must be above 0")
+    if kind == "int" and not all(isinstance(b, int) for b in bounds):
+        raise ConfigError(f"{where}: 'int' bounds must be integers")
+    if kind != "int" and get_type_hints(params)[name] is int:
+        raise ConfigError(f"{where}: an integer parameter takes the 'int' kind")
     try:
-        return MetricSpec(
-            kind=_require(d, "kind", str, where=where + "."),
-            t=_optional(d, "t", (int, float), None, where=where + "."),
-            alpha=_optional(d, "alpha", (int, float), None, where=where + "."),
-            n_bins=_optional(d, "n_bins", int, 10, where=where + "."))
+        for v in (lo, hi, 0) if zero_or else (lo, hi):
+            params(**{name: v})
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+    return tuple(spec)
+
+
+def draw(rng, spec):
+    """One value drawn by the numpy Generator `rng` from a checked spec."""
+    kind, *bounds = spec
+    zero = kind.startswith("zero_or_") and rng.random() < bounds.pop(0)
+    lo, hi = bounds
+    if kind == "int":
+        return int(rng.integers(lo, hi + 1))
+    if kind.endswith("log"):
+        v = float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+    else:
+        v = float(rng.uniform(lo, hi))
+    return 0.0 if zero else v
+
+
+def merge_ranges(overrides):
+    """DEFAULT_RANGES with the checked specs of `overrides`, a
+    {group: {name: spec}} object, in place of the defaults they name."""
+    ranges = {grp: dict(DEFAULT_RANGES[grp]) for grp in DEFAULT_RANGES}
+    for grp, specs in (overrides or {}).items():
+        if grp not in ranges:
+            raise ConfigError(f"unknown sampling_ranges group {grp!r}")
+        if not isinstance(specs, dict):
+            raise ConfigError(f"sampling_ranges.{grp} must be a JSON object")
+        for name, spec in specs.items():
+            if name not in ranges[grp]:
+                raise ConfigError(f"unknown sampling_ranges entry {grp}.{name}")
+            ranges[grp][name] = _check_range(
+                spec, _RANGE_PARAMS[grp], name, f"sampling_ranges.{grp}.{name}")
+    return ranges
+
+
+def _read(annotation, v, path):
+    """The JSON value `v` of the field at `path`, checked against its
+    `annotation` (T or T | None): a nested config is read from an object, a
+    tuple from a list and a float from any number."""
+    typ = next(t for t in get_args(annotation) or (annotation,)
+               if t is not type(None))
+    if is_dataclass(typ) and isinstance(v, dict):
+        return _from_dict(typ, v, path)
+    if typ is float and isinstance(v, int) and not isinstance(v, bool):
+        if not _is_number(v):
+            raise ConfigError(f"field {path!r} is out of range")
+        v = float(v)
+    if isinstance(v, bool) or not isinstance(v, list if typ is tuple else typ):
+        raise ConfigError(f"field {path!r} has wrong type")
+    return tuple(v) if typ is tuple else v
+
+
+def _from_dict(cls, d, where):
+    """The config dataclass `cls` read from the JSON object `d` found at the
+    dotted path `where` ("" for the whole config). A key absent or null
+    takes its field's default."""
+    if not isinstance(d, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: "
+                          f"{sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if d.get(f.name) is None and (f.default is not MISSING or
+                                      f.default_factory is not MISSING):
+            continue
+        if f.name not in d:
+            raise ConfigError(f"missing required field {path!r}")
+        values[f.name] = _read(hints[f.name], d[f.name], path)
+    try:
+        return cls(**values)
     except MetricError as e:
-        raise ConfigError(f"{where}: {e}")
+        raise ConfigError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)
 class LabelConfig:
+    """How the training file's label column becomes the run's labels."""
+
     kinds: tuple
     file_label: str = "binary"
     threshold: float | None = None
-    direction: str = "greater_is_positive"
+    direction: str = GREATER_IS_POSITIVE
     csv_label_column: str = "label"
 
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("label must be an object")
-        _reject_unknown(d, ("kinds", "file_label", "threshold", "direction",
-                            "csv_label_column"), "label")
-        kinds = _require(d, "kinds", list, where="label.")
-        if not kinds or any(k not in _LABEL_KINDS for k in kinds) \
-                or len(set(kinds)) != len(kinds):
+    def __post_init__(self):
+        if not self.kinds or any(k not in _LABEL_KINDS for k in self.kinds) \
+                or len(set(self.kinds)) != len(self.kinds):
             raise ConfigError(
                 "label.kinds must be a non-empty subset of ['binary', 'continuous']")
-        file_label = _optional(d, "file_label", str, "binary", where="label.")
-        if file_label not in _LABEL_KINDS:
+        if self.file_label not in _LABEL_KINDS:
             raise ConfigError("label.file_label must be 'binary' or 'continuous'")
-        threshold = _optional(d, "threshold", (int, float), None, where="label.")
-        direction = _optional(d, "direction", str, "greater_is_positive",
-                              where="label.")
-        if direction not in _DIRECTIONS:
-            raise ConfigError(f"label.direction must be one of {_DIRECTIONS}")
-        if file_label == "binary" and kinds != ["binary"]:
+        if self.direction not in DIRECTIONS:
+            raise ConfigError(f"label.direction must be one of {DIRECTIONS}")
+        if self.file_label == "binary" and tuple(self.kinds) != ("binary",):
             raise ConfigError(
                 "label.kinds can only be ['binary'] when the file carries binary labels")
-        if file_label == "continuous" and threshold is None:
+        if self.file_label == "continuous" and self.threshold is None:
             raise ConfigError(
                 "label.threshold is required when the file carries continuous labels")
-        return cls(kinds=tuple(kinds), file_label=file_label,
-                   threshold=None if threshold is None else float(threshold),
-                   direction=direction,
-                   csv_label_column=_optional(d, "csv_label_column", str,
-                                              "label", where="label."))
+        if self.threshold is not None and not _is_number(self.threshold):
+            raise ConfigError("label.threshold must be finite")
+
+    @property
+    def mapping(self) -> LabelMapping | None:
+        """The rule that binarizes the file's labels; None for binary files."""
+        if self.file_label == "binary":
+            return None
+        return LabelMapping(self.threshold, self.direction)
 
 
 @dataclass(frozen=True)
@@ -118,15 +221,6 @@ class Layer2Config:
             check_solver_settings(self.max_iter, self.tol)
         except ValueError as e:
             raise ConfigError(f"layer2: {e}") from None
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("layer2 must be an object")
-        _reject_unknown(d, ("max_iter", "tol"), "layer2")
-        return cls(
-            max_iter=_optional(d, "max_iter", int, MAX_ITER, where="layer2."),
-            tol=float(_optional(d, "tol", (int, float), TOL, where="layer2.")))
 
 
 @dataclass(frozen=True)
@@ -155,6 +249,8 @@ class RunConfig:
             raise ConfigError("field 'H' must be at least 1")
         if self.K < 2:
             raise ConfigError("field 'K' must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("field 'seed' must be at least 0")
         if not (0.0 <= self.test_fraction < 1.0):
             raise ConfigError("field 'test_fraction' must lie in [0, 1)")
         if self.booster_mix not in _BOOSTER_MIXES:
@@ -163,39 +259,12 @@ class RunConfig:
             raise ConfigError("'patience' and 'max_rounds' must be at least 1")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("field 'workers' must be at least 1")
+        merge_ranges(self.sampling_ranges)
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        allowed = ("train_path", "test_path", "test_fraction", "label", "H",
-                   "K", "seed", "stop_metric", "selection_metric",
-                   "booster_mix", "patience", "max_rounds", "sampling_ranges",
-                   "layer2", "workers", "output_dir")
-        _reject_unknown(d, allowed, "config")
-        label = LabelConfig.from_dict(_require(d, "label", dict))
-        stop = d.get("stop_metric")
-        sel = d.get("selection_metric")
-        ranges = _optional(d, "sampling_ranges", dict, {})
-        return cls(
-            train_path=_require(d, "train_path", str),
-            label=label,
-            H=_require(d, "H", int),
-            test_path=_optional(d, "test_path", str, None),
-            test_fraction=float(_optional(d, "test_fraction", (int, float), 0.1)),
-            K=_optional(d, "K", int, 5),
-            seed=_optional(d, "seed", int, 0),
-            stop_metric=(MetricSpec(kind="ef", t=0.01) if stop is None
-                         else metric_spec_from_dict(stop, "stop_metric")),
-            selection_metric=(MetricSpec(kind="auc_prc") if sel is None
-                              else metric_spec_from_dict(sel, "selection_metric")),
-            booster_mix=_optional(d, "booster_mix", str, "alternate"),
-            patience=_optional(d, "patience", int, 100),
-            max_rounds=_optional(d, "max_rounds", int, 2000),
-            sampling_ranges=ranges,
-            layer2=Layer2Config.from_dict(_optional(d, "layer2", dict, {})),
-            workers=_optional(d, "workers", int, None),
-            output_dir=_optional(d, "output_dir", str, "."))
+        """The run config of a parsed JSON object."""
+        return _from_dict(cls, d, "")
 
     def effective_workers(self):
         if self.workers is not None:
@@ -212,8 +281,8 @@ class RunConfig:
         """JSON-serializable snapshot, sufficient to re-run identically."""
         def metric_d(m):
             # only the parameters a config would set
-            return {k: v for k, v in asdict(m).items()
-                    if v is not None and (k, v) != ("n_bins", 10)}
+            return {f.name: getattr(m, f.name) for f in fields(m)
+                    if getattr(m, f.name) != f.default}
         out = asdict(self)
         out["label"]["kinds"] = list(self.label.kinds)
         out["stop_metric"] = metric_d(self.stop_metric)

@@ -16,6 +16,7 @@ class DataError(ValueError):
 
 GREATER_IS_POSITIVE = "greater_is_positive"
 LESS_IS_POSITIVE = "less_is_positive"
+DIRECTIONS = (GREATER_IS_POSITIVE, LESS_IS_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class LabelMapping:
     def __post_init__(self):
         if not np.isfinite(self.threshold):
             raise DataError("label mapping threshold must be finite")
-        if self.direction not in (GREATER_IS_POSITIVE, LESS_IS_POSITIVE):
+        if self.direction not in DIRECTIONS:
             raise DataError(f"unknown direction {self.direction!r}")
 
 
@@ -335,7 +336,7 @@ def _cast_fields(raw, buf, start, stop, kind, odd):
     return np.array(out, dtype=object if kind is int else float), bad
 
 
-def load_csv(path, label_column, feature_columns=None, expect_label="binary"):
+def load_csv(path, label_column, expect_label="binary"):
     """Load a dense numeric CSV; zero-valued cells become absent features."""
     text = _decode(_read_bytes(path), path)
     reader = csv.reader(io.StringIO(text, newline=None))
@@ -345,13 +346,8 @@ def load_csv(path, label_column, feature_columns=None, expect_label="binary"):
         raise DataError(f"no rows in {path}")
     if label_column not in header:
         raise DataError(f"missing label column {label_column!r}")
-    if feature_columns is None:
-        feature_columns = [c for c in header if c != label_column]
-    for c in feature_columns:
-        if c not in header:
-            raise DataError(f"missing feature column {c!r}")
     label_i = header.index(label_column)
-    feat_i = [header.index(c) for c in feature_columns]
+    feat_i = [header.index(c) for c in header if c != label_column]
     rows, labels = [], []
     for lineno, rec in enumerate(reader, start=2):
         if len(rec) < 2 and not "".join(rec).strip():

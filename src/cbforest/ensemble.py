@@ -3,13 +3,12 @@ base-layer training producing out-of-fold score columns, dual-label fusion,
 elastic-net candidate sweep, and two-stage prediction."""
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import RunConfig, draw, merge_ranges
 from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
                    binarize, load_csv, load_svmlight, stratified_kfold)
 from .elastic_net import (MAX_ITER, TOL, ElasticNetParams, fit_elastic_net,
@@ -19,80 +18,17 @@ from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
                   predict_gbm, split_features, train_gbm)
 from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 
-# Sampling ranges for the randomized hyper-parameter draws. Encodings:
-#   ("log", lo, hi)                log-uniform
-#   ("uniform", lo, hi)            uniform
-#   ("int", lo, hi)                uniform integer, inclusive
-#   ("zero_or_log", p0, lo, hi)    0 with probability p0, else log-uniform
-#   ("zero_or_uniform", p0, lo, hi)
-# A sample draws its group's parameters in the order listed here, which
-# overrides keep.
-DEFAULT_RANGES = {
-    "tree": {
-        "learning_rate": ("log", 0.01, 0.3),
-        "max_depth": ("int", 3, 10),
-        "min_child_weight": ("log", 1.0, 64.0),
-        "gamma": ("zero_or_log", 0.5, 1e-3, 10.0),
-        "subsample": ("uniform", 0.5, 1.0),
-        "colsample_bytree": ("uniform", 0.5, 1.0),
-        "colsample_bylevel": ("uniform", 0.5, 1.0),
-        "reg_lambda": ("log", 0.1, 100.0),
-        "reg_alpha": ("zero_or_log", 0.5, 1e-3, 10.0),
-        "max_delta_step": ("zero_or_uniform", 0.75, 1.0, 10.0),
-    },
-    "linear": {
-        "reg_lambda": ("log", 1e-3, 100.0),
-        "reg_alpha": ("log", 1e-3, 100.0),
-        "reg_lambda_bias": ("log", 1e-3, 100.0),
-        "learning_rate": ("log", 0.01, 0.3),
-    },
-    "layer2": {
-        "lambda1": ("log", 1e-6, 1.0),
-        "lambda2": ("log", 1e-6, 1.0),
-    },
-}
 
 def derive_seed(*keys) -> int:
     """Deterministic child seed from a tuple of integer keys."""
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
-def _merge_ranges(overrides):
-    ranges = {grp: dict(DEFAULT_RANGES[grp]) for grp in DEFAULT_RANGES}
-    for grp, params in (overrides or {}).items():
-        if grp not in ranges:
-            raise ConfigError(f"unknown sampling_ranges group {grp!r}")
-        for name, spec in params.items():
-            if name not in ranges[grp]:
-                raise ConfigError(f"unknown sampling_ranges entry {grp}.{name}")
-            ranges[grp][name] = tuple(spec)
-    return ranges
-
-
-def _draw(rng, spec):
-    kind = spec[0]
-    if kind == "log":
-        return float(math.exp(rng.uniform(math.log(spec[1]), math.log(spec[2]))))
-    if kind == "uniform":
-        return float(rng.uniform(spec[1], spec[2]))
-    if kind == "int":
-        return int(rng.integers(spec[1], spec[2] + 1))
-    if kind == "zero_or_log":
-        zero = rng.random() < spec[1]
-        v = float(math.exp(rng.uniform(math.log(spec[2]), math.log(spec[3]))))
-        return 0.0 if zero else v
-    if kind == "zero_or_uniform":
-        zero = rng.random() < spec[1]
-        v = float(rng.uniform(spec[2], spec[3]))
-        return 0.0 if zero else v
-    raise ConfigError(f"unknown sampling range kind {kind!r}")
-
-
 def _draw_unseen(rng, ranges, make, seen, what):
     """`make(**values)` of values drawn from `ranges` in their order, drawn
     again while the result is in `seen`, which it is then added to."""
     for _ in range(1000):
-        sample = make(**{name: _draw(rng, spec) for name, spec in ranges.items()})
+        sample = make(**{name: draw(rng, spec) for name, spec in ranges.items()})
         if sample not in seen:
             seen.add(sample)
             return sample
@@ -116,7 +52,7 @@ def sample_hyperparams(H, seed, booster_mix="alternate",
     """
     if H < 1:
         raise ValueError("H must be at least 1")
-    merged = _merge_ranges(ranges)
+    merged = merge_ranges(ranges)
     rng = np.random.default_rng(seed)
     samples = []
     seen = set()
@@ -243,7 +179,7 @@ class Layer2Selection:
 
 
 def sample_layer2_params(H, seed, ranges=None):
-    merged = _merge_ranges(ranges)
+    merged = merge_ranges(ranges)
     rng = np.random.default_rng(seed)
     seen = set()
     return [_draw_unseen(rng, merged["layer2"], ElasticNetParams, seen,
@@ -361,7 +297,6 @@ def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:
 @dataclass
 class RunResult:
     model: CbfModel
-    cv: CvScore
     train_data: SparseDataset
     test_data: SparseDataset | None
     train_pred: np.ndarray
@@ -405,8 +340,7 @@ def load_run_dataset(path, label_cfg, n_cols=None):
             row = int(infinite[0])
             raise DataError(f"infinite label {ds.continuous_labels[row]} "
                             f"in row {row + 1} of {path}")
-        mapping = LabelMapping(label_cfg.threshold, label_cfg.direction)
-        ds.binary_labels = binarize(ds.continuous_labels, mapping)
+        ds.binary_labels = binarize(ds.continuous_labels, label_cfg.mapping)
     return ds
 
 
@@ -429,10 +363,8 @@ def _split_test(dataset, fraction, seed):
 def run_cbf(config: RunConfig) -> RunResult:
     """Execute the full pipeline from a validated run configuration."""
     label_cfg = config.label
+    mapping = label_cfg.mapping
     full = load_run_dataset(config.train_path, label_cfg)
-    mapping = None
-    if label_cfg.file_label == "continuous":
-        mapping = LabelMapping(label_cfg.threshold, label_cfg.direction)
 
     if config.test_path is not None:
         train = full
@@ -464,8 +396,7 @@ def run_cbf(config: RunConfig) -> RunResult:
                        ranges=config.sampling_ranges,
                        max_iter=config.layer2.max_iter, tol=config.layer2.tol)
 
-    ordered = sorted(bundles, key=lambda b: b.label_kind != "binary")
-    model = CbfModel(bundles=ordered, layer2=sel, folds=folds,
+    model = CbfModel(bundles=bundles, layer2=sel, folds=folds,
                      label_mapping=mapping, H=config.H, seed=config.seed,
                      column_order=md.columns)
 
@@ -489,7 +420,7 @@ def run_cbf(config: RunConfig) -> RunResult:
     else:
         rel, rel_split = reliability_bins(train_pred, train.binary_labels), "train"
 
-    return RunResult(model=model, cv=sel.cv, train_data=train, test_data=test,
+    return RunResult(model=model, train_data=train, test_data=test,
                      train_pred=train_pred, valid_pred=valid_pred,
                      test_pred=test_pred, metrics_report=report,
                      reliability=rel, reliability_split=rel_split)

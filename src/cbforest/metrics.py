@@ -53,8 +53,9 @@ class MetricSpec:
         if self.kind == "ef":
             if self.t is None or not (0.0 < self.t < 1.0):
                 raise MetricError("ef requires a fraction t in (0, 1)")
-        if self.kind == "auc_bed" and self.alpha is not None and self.alpha <= 0:
-            raise MetricError("auc_bed alpha must be positive")
+        if self.kind == "auc_bed" and self.alpha is not None \
+                and not 0 < self.alpha < math.inf:
+            raise MetricError("auc_bed alpha must be positive and finite")
         if self.kind == "reliability_score" and self.n_bins < 1:
             raise MetricError("n_bins must be at least 1")
 

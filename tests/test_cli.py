@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,15 @@ import pytest
 
 import cbforest
 from cbforest.cli import main
-from cbforest.config import ConfigError, Layer2Config, RunConfig
+from cbforest.config import (DEFAULT_RANGES, ConfigError, LabelConfig,
+                             Layer2Config, RunConfig)
 from cbforest.elastic_net import (ElasticNetModel, fit_elastic_net,
                                   predict_proba)
 from cbforest.ensemble import layer1_feature_matrix, predict_cbf
 from cbforest.gbm import (GBLINEAR, GBTREE, QUADRATIC, DecisionTree,
                           TreeHyperParams, grad_hess, predict_gbm,
                           predict_tree)
+from cbforest.metrics import MetricSpec
 from cbforest.persistence import (PersistenceError, _payload_checksum,
                                   load_archive, model_to_dict, save_archive)
 
@@ -87,6 +90,10 @@ def test_config_to_dict_of_a_full_config():
     assert RunConfig.from_dict(full).to_dict() == full
     bed = dict(full, selection_metric={"kind": "auc_bed", "alpha": 80.0})
     assert RunConfig.from_dict(bed).to_dict() == bed
+    # a JSON integer for a float field is stored as a float
+    integral = dict(bed, selection_metric={"kind": "auc_bed", "alpha": 80})
+    assert (json.dumps(RunConfig.from_dict(integral).to_dict(), sort_keys=True)
+            == json.dumps(bed, sort_keys=True))
     minimal = {"train_path": "train.svm", "label": {"kinds": ["binary"]},
                "H": 1}
     assert RunConfig.from_dict(minimal).to_dict() == {
@@ -113,12 +120,41 @@ def test_config_missing_path_rejected(tiny_dataset):
         cfg.validate_paths()
 
 
+MINIMAL_CONFIG = {"train_path": "train.svm", "label": {"kinds": ["binary"]},
+                  "H": 1}
+
+
 def test_layer2_config_defaults():
-    cfg = Layer2Config.from_dict({})
+    cfg = RunConfig.from_dict(MINIMAL_CONFIG).layer2
     solver = inspect.signature(fit_elastic_net).parameters
     assert ((cfg.max_iter, cfg.tol)
             == (solver["max_iter"].default, solver["tol"].default)
             == (1000, 1e-6))
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("K", "3", "K"),
+    ("label", ["binary"], "label"),
+    ("label", {"kinds": ["binary"], "direction": 1}, "label.direction"),
+    ("stop_metric", {"kind": "ef", "t": "0.01"}, "stop_metric.t"),
+    ("layer2", {"tol": "1e-6"}, "layer2.tol")])
+def test_wrong_type_names_the_dotted_path(key, value, path):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict(dict(MINIMAL_CONFIG, **{key: value}))
+    assert str(exc.value) == f"field {path!r} has wrong type"
+
+
+def test_readme_config_reference_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    reference = readme.split("#### Config reference", 1)[1].split("\n### ", 1)[0]
+    listed = set(re.findall(r"^\| `(\w+)` \|", reference, re.MULTILINE))
+    for cls in (RunConfig, LabelConfig, Layer2Config, MetricSpec):
+        missing = {f.name for f in fields(cls)} - listed
+        assert not missing, f"{cls.__name__}: {sorted(missing)}"
+    for group, specs in DEFAULT_RANGES.items():
+        for name, spec in specs.items():
+            row = f"| `{group}` | `{name}` | `{json.dumps(list(spec))}` |"
+            assert row in reference
 
 
 # ------------------------------------------------------------ persistence
@@ -535,6 +571,63 @@ def test_train_rejects_a_bad_layer2_config_before_training(
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert list(layer2)[0] in err
+
+
+CONTINUOUS_LABEL = {"kinds": ["binary"], "file_label": "continuous"}
+
+
+def _ranges(group, name, spec):
+    return {"sampling_ranges": {group: {name: spec}}}
+
+
+@pytest.mark.parametrize("override, named", [
+    pytest.param(_ranges("tree", "min_child_weight", ["log", 1]),
+                 "sampling_ranges.tree.min_child_weight", id="too_few_bounds"),
+    pytest.param(_ranges("tree", "learning_rate", ["log", -1, 0.3]),
+                 "sampling_ranges.tree.learning_rate", id="log_bound_below_zero"),
+    pytest.param(_ranges("tree", "max_depth", ["int", 5, 2]),
+                 "sampling_ranges.tree.max_depth", id="int_lo_above_hi"),
+    pytest.param(_ranges("tree", "subsample", ["uniform", 0.5, 2.0]),
+                 "sampling_ranges.tree.subsample", id="subsample_above_one"),
+    pytest.param({"sampling_ranges": {"tree": []}}, "sampling_ranges.tree",
+                 id="group_not_an_object"),
+    pytest.param(_ranges("linear", "reg_alpha", ["uniform", -5, -1]),
+                 "sampling_ranges.linear.reg_alpha", id="negative_linear_alpha"),
+    pytest.param(_ranges("layer2", "lambda1", ["uniform", -1, -0.5]),
+                 "sampling_ranges.layer2.lambda1", id="negative_lambda1"),
+    pytest.param(_ranges("tree", "max_depth", "deep"),
+                 "sampling_ranges.tree.max_depth", id="spec_not_a_list"),
+    pytest.param(_ranges("tree", "gamma", ["bogus", 1, 2]),
+                 "sampling_ranges.tree.gamma", id="unknown_kind"),
+    pytest.param(_ranges("tree", "max_depth", ["uniform", 2, 5]),
+                 "sampling_ranges.tree.max_depth", id="max_depth_not_int_kind"),
+    pytest.param(_ranges("tree", "max_depth", ["int", 2.5, 4]),
+                 "sampling_ranges.tree.max_depth", id="int_kind_float_bound"),
+    pytest.param(_ranges("tree", "reg_lambda", ["uniform", 0, float("inf")]),
+                 "sampling_ranges.tree.reg_lambda", id="infinite_bound"),
+    pytest.param({"label": dict(CONTINUOUS_LABEL, threshold=float("nan"))},
+                 "label.threshold", id="threshold_nan"),
+    pytest.param({"label": dict(CONTINUOUS_LABEL, threshold=float("inf"))},
+                 "label.threshold", id="threshold_infinity"),
+    pytest.param({"label": dict(CONTINUOUS_LABEL, threshold=10**400)},
+                 "field 'label.threshold'", id="threshold_past_float"),
+    pytest.param({"selection_metric": {"kind": "auc_bed", "alpha": float("nan")}},
+                 "selection_metric", id="alpha_nan"),
+    pytest.param({"seed": -1}, "field 'seed'", id="negative_seed"),
+])
+def test_train_rejects_a_bad_config_value_at_load(
+        tiny_dataset, tmp_path, capsys, monkeypatch, override, named):
+    def no_training(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("cbforest.cli.run_cbf", no_training)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(tiny_config_dict(
+        tiny_dataset, output_dir=str(tmp_path / "out"), **override)))
+    assert run_cli(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}")
+    assert "Traceback" not in err
 
 
 def test_train_invalid_json_exits_one(tmp_path):

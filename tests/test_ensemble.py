@@ -373,4 +373,5 @@ def test_run_cbf_deterministic(tiny_dataset):
     a = run_cbf(cfg)
     b = run_cbf(cfg)
     assert np.array_equal(a.test_pred, b.test_pred)
-    assert np.array_equal(a.cv.per_fold, b.cv.per_fold)
+    assert np.array_equal(a.model.layer2.cv.per_fold,
+                          b.model.layer2.cv.per_fold)
