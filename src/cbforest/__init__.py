@@ -13,12 +13,14 @@ from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
 from .elastic_net import (ElasticNetModel, ElasticNetParams, fit_elastic_net,
                           predict_proba)
 from .ensemble import (CbfModel, CvScore, HyperParamSample, Layer1Bundle,
-                       Layer2Data, Layer2Selection, assemble_md, layer1_cv,
-                       predict_cbf, run_cbf, sample_hyperparams, train_layer1,
-                       train_layer2)
+                       Layer1Record, Layer2Data, Layer2Selection, RunResult,
+                       TrainingRecord, assemble_md, layer1_cv, predict_cbf,
+                       run_cbf, sample_hyperparams, sample_layer2_params,
+                       train_layer1, train_layer2)
 from .gbm import (DecisionTree, GbmModel, LinearDelta, LinearHyperParams,
-                  TrainingError, TreeHyperParams, build_linear_delta,
-                  build_tree, grad_hess, predict_gbm, train_gbm)
+                  TrainingError, TrainingLog, TreeHyperParams,
+                  build_linear_delta, build_tree, grad_hess, predict_gbm,
+                  train_gbm)
 from .metrics import (MetricError, MetricSpec, ReliabilityBins, auc_bed,
                       auc_prc, auc_roc, enrichment_factor, logloss,
                       reliability_bins, reliability_score)

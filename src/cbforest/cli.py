@@ -69,12 +69,10 @@ def cmd_train(args):
     try:
         config = RunConfig.from_dict(raw)
         config.validate_paths()
+        result = run_cbf(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        result = run_cbf(config)
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -86,10 +84,10 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     save_archive(out / "model.cbf", result.model, config.to_dict())
 
-    sel = result.model.layer2
-    K = result.model.folds.K
+    sel = result.record.layer2
     header = (["candidate", "lambda1", "lambda2"]
-              + [f"cv_fold_{k}" for k in range(K)] + ["cv_mean", "selected"])
+              + [f"cv_fold_{k}" for k in range(result.record.folds.K)]
+              + ["cv_mean", "selected"])
     rows = []
     for h, cand in enumerate(sel.candidates):
         rows.append([h, cand.lambda1, cand.lambda2]

@@ -346,8 +346,11 @@ def load_csv(path, label_column, expect_label="binary"):
         raise DataError(f"no rows in {path}")
     if label_column not in header:
         raise DataError(f"missing label column {label_column!r}")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise DataError(f"repeated column {repeated[0]!r} in the header")
     label_i = header.index(label_column)
-    feat_i = [header.index(c) for c in header if c != label_column]
+    feat_i = [i for i, c in enumerate(header) if c != label_column]
     rows, labels = [], []
     for lineno, rec in enumerate(reader, start=2):
         if len(rec) < 2 and not "".join(rec).strip():

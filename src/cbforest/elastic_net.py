@@ -67,9 +67,9 @@ def check_solver_settings(max_iter, tol):
 @dataclass
 class ElasticNetModel:
     beta: np.ndarray  # intercept at index 0
-    converged: bool = True
-    n_iter: int = 0
-    single_class_warning: bool = False
+    converged: bool
+    n_iter: int
+    single_class_warning: bool
 
 
 def _nll(z, y):
@@ -246,19 +246,20 @@ def fit_elastic_net(X, y, params: ElasticNetParams, init=None, *,
                            single_class_warning=single_class)
 
 
-def predict_proba(model: ElasticNetModel, X) -> np.ndarray:
-    """Sigmoid of intercept + dot product; outputs strictly inside (0, 1).
+def predict_proba(beta, X) -> np.ndarray:
+    """Sigmoid of intercept `beta[0]` + X @ `beta[1:]`; outputs strictly
+    inside (0, 1).
 
     The dot product adds the terms left to right, row by row, so a row
     scored alone gets the same bits as in a batch.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.beta) - 1:
+    if X.ndim != 2 or X.shape[1] != len(beta) - 1:
         raise ValueError(
-            f"X must have {len(model.beta) - 1} columns, got shape {X.shape}")
+            f"X must have {len(beta) - 1} columns, got shape {X.shape}")
     terms = np.empty((X.shape[0], X.shape[1] + 1))
-    terms[:, 0] = model.beta[0]
-    np.multiply(X, model.beta[1:], out=terms[:, 1:])
+    terms[:, 0] = beta[0]
+    np.multiply(X, beta[1:], out=terms[:, 1:])
     p = expit(np.cumsum(terms, axis=1)[:, -1])
     tiny = np.finfo(float).tiny
     return np.clip(p, tiny, np.nextafter(1.0, 0.0))

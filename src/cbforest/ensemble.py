@@ -8,14 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, draw, merge_ranges
+from .config import ConfigError, RunConfig, draw, merge_ranges
 from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
                    binarize, load_csv, load_svmlight, stratified_kfold)
 from .elastic_net import (MAX_ITER, TOL, ElasticNetParams, fit_elastic_net,
                           predict_proba)
 from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
-                  TrainingError, TreeHyperParams, lookup_blocks,
-                  predict_gbm, split_features, train_gbm)
+                  TreeHyperParams, lookup_blocks, predict_gbm, split_features,
+                  train_gbm)
 from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 
 
@@ -32,8 +32,8 @@ def _draw_unseen(rng, ranges, make, seen, what):
         if sample not in seen:
             seen.add(sample)
             return sample
-    raise RuntimeError(f"could not draw a unique {what} after 1000 attempts; "
-                       "sampling ranges are too narrow")
+    raise ConfigError(f"could not draw a unique {what} after 1000 attempts; "
+                      "sampling ranges are too narrow")
 
 
 @dataclass(frozen=True)
@@ -71,66 +71,68 @@ def sample_hyperparams(H, seed, booster_mix="alternate",
 
 @dataclass
 class Layer1Bundle:
-    """All base models for one label kind plus their out-of-fold columns.
+    """The base models for one label kind: models[h][k] was trained with
+    fold k held out."""
 
-    models[h][k] was trained with fold k held out; oof_columns[n, h] is the
+    label_kind: str
+    models: list          # [h][k] -> GbmModel
+
+
+@dataclass
+class Layer1Record:
+    """What training one bundle learned besides its models.
+
+    logs[h][k] is the `TrainingLog` of models[h][k]; oof_columns[n, h] is the
     prediction for row n by the model that did NOT see row n's fold.
     """
 
     label_kind: str
     samples: list
-    models: list          # [h][k] -> GbmModel
+    logs: list            # [h][k] -> TrainingLog
     oof_columns: np.ndarray
 
 
 def _fit_layer1_task(args):
-    (h, k, train_ds, valid_ds, params, loss, stop_metric, mapping,
-     patience, max_rounds, seed) = args
-    model = train_gbm(train_ds, valid_ds, params, loss, stop_metric,
-                      label_mapping=mapping, patience=patience,
-                      max_rounds=max_rounds, seed=seed)
-    return h, k, model, predict_gbm(model, valid_ds)
+    (train_ds, valid_ds, params, loss, stop_metric, mapping, patience,
+     max_rounds, seed) = args
+    model, log = train_gbm(train_ds, valid_ds, params, loss, stop_metric,
+                           label_mapping=mapping, patience=patience,
+                           max_rounds=max_rounds, seed=seed)
+    return model, log, predict_gbm(model, valid_ds)
 
 
 def train_layer1(dataset: SparseDataset, label_kind, folds: FoldAssignment,
                  samples, stop_metric: MetricSpec, *, label_mapping=None,
                  patience=100, max_rounds=2000, master_seed=0, bundle_tag=0,
-                 workers=1) -> Layer1Bundle:
-    """Train the HxK grid of base models and assemble out-of-fold columns.
+                 workers=1):
+    """Train the HxK grid of base models and assemble out-of-fold columns;
+    returns the `Layer1Bundle` and its `Layer1Record`.
 
     Each (h, k) model derives its seed from (master_seed, bundle_tag, h, k),
     so results are independent of worker count and schedule.
     """
     loss = LOGISTIC if label_kind == "binary" else QUADRATIC
-    if label_kind == "binary" and dataset.binary_labels is None:
-        raise TrainingError("binary bundle requires binary labels")
-    if label_kind == "continuous" and dataset.continuous_labels is None:
-        raise TrainingError("continuous bundle requires continuous labels")
-    n = dataset.n_rows
-    H = len(samples)
-    subsets = []
-    for k in range(folds.K):
-        subsets.append((dataset.subset(folds.train_rows(k)),
-                        dataset.subset(folds.valid_rows(k))))
-    tasks = []
-    for h, sample in enumerate(samples):
-        for k in range(folds.K):
-            tasks.append((h, k, subsets[k][0], subsets[k][1], sample.params,
-                          loss, stop_metric, label_mapping, patience,
-                          max_rounds,
-                          derive_seed(master_seed, bundle_tag, h, k)))
+    K = folds.K
+    subsets = [(dataset.subset(folds.train_rows(k)),
+                dataset.subset(folds.valid_rows(k))) for k in range(K)]
+    tasks = [(*subsets[k], sample.params, loss, stop_metric, label_mapping,
+              patience, max_rounds, derive_seed(master_seed, bundle_tag, h, k))
+             for h, sample in enumerate(samples) for k in range(K)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_layer1_task, tasks, chunksize=1))
     else:
         results = [_fit_layer1_task(t) for t in tasks]
-    models = [[None] * folds.K for _ in range(H)]
-    oof = np.empty((n, H))
-    for h, k, model, preds in results:
-        models[h][k] = model
-        oof[folds.valid_rows(k), h] = preds
-    return Layer1Bundle(label_kind=label_kind, samples=list(samples),
-                        models=models, oof_columns=oof)
+    # results come in task order, K folds per h
+    oof = np.empty((dataset.n_rows, len(samples)))
+    for i, (_, _, preds) in enumerate(results):
+        oof[folds.valid_rows(i % K), i // K] = preds
+    grid = [results[i:i + K] for i in range(0, len(results), K)]
+    return (Layer1Bundle(label_kind=label_kind,
+                         models=[[r[0] for r in row] for row in grid]),
+            Layer1Record(label_kind=label_kind, samples=list(samples),
+                         logs=[[r[1] for r in row] for row in grid],
+                         oof_columns=oof))
 
 
 @dataclass
@@ -142,12 +144,13 @@ class Layer2Data:
     columns: list  # [(label_kind, h), ...]
 
 
-def assemble_md(bundles, binary_labels) -> Layer2Data:
-    """Concatenate bundle columns horizontally, binary-label bundle first."""
-    if not bundles:
+def assemble_md(records, binary_labels) -> Layer2Data:
+    """Concatenate the out-of-fold columns of the bundles' `Layer1Record`s
+    horizontally, binary-label bundle first."""
+    if not records:
         raise DataError("no bundles to assemble")
     y = np.asarray(binary_labels)
-    ordered = sorted(bundles, key=lambda b: b.label_kind != "binary")
+    ordered = sorted(records, key=lambda b: b.label_kind != "binary")
     n = len(y)
     cols, names = [], []
     for b in ordered:
@@ -175,7 +178,7 @@ class Layer2Selection:
     candidates: list            # ElasticNetParams per candidate
     cv: CvScore
     selected_index: int
-    fold_models: list           # winner's K fold models
+    fold_models: list           # winner's K fold fits (ElasticNetModel)
 
 
 def sample_layer2_params(H, seed, ranges=None):
@@ -187,10 +190,10 @@ def sample_layer2_params(H, seed, ranges=None):
             for _ in range(H)]
 
 
-def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
-                 metric: MetricSpec, *, ranges=None, max_iter=MAX_ITER,
+def train_layer2(md: Layer2Data, folds: FoldAssignment, candidates,
+                 metric: MetricSpec, *, max_iter=MAX_ITER,
                  tol=TOL) -> Layer2Selection:
-    """Sweep H elastic-net candidates K-fold over the stacked matrix.
+    """Sweep the elastic-net candidates K-fold over the stacked matrix.
 
     Selects the candidate with the best mean cross-validation score (ties
     go to the lowest index) and keeps its K fold models, which prediction
@@ -198,10 +201,7 @@ def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
     solution: the problems differ by a third of their rows at most.
     `max_iter` and `tol` are passed to every `fit_elastic_net`.
     """
-    if H < 1:
-        raise ValueError("H must be at least 1")
-    candidates = sample_layer2_params(H, seed, ranges)
-    per_fold = np.empty((H, folds.K))
+    per_fold = np.empty((len(candidates), folds.K))
     fold_models = []
     for h, params in enumerate(candidates):
         models_h = []
@@ -211,7 +211,7 @@ def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
             va = folds.valid_rows(k)
             m = fit_elastic_net(md.X[tr], md.y[tr], params, init=init,
                                 max_iter=max_iter, tol=tol)
-            p = predict_proba(m, md.X[va])
+            p = predict_proba(m.beta, md.X[va])
             per_fold[h, k] = evaluate(metric, p, md.y[va])
             models_h.append(m)
             init = m.beta
@@ -224,38 +224,39 @@ def train_layer2(md: Layer2Data, folds: FoldAssignment, H, seed,
                            fold_models=fold_models[selected])
 
 
-def layer1_cv(bundle: Layer1Bundle, folds: FoldAssignment, binary_labels,
+def layer1_cv(record: Layer1Record, folds: FoldAssignment, binary_labels,
               metric: MetricSpec) -> CvScore:
     """Cross-validation score of each base model from its out-of-fold column."""
-    H = bundle.oof_columns.shape[1]
+    H = record.oof_columns.shape[1]
     per_fold = np.empty((H, folds.K))
     y = np.asarray(binary_labels)
     for h in range(H):
         for k in range(folds.K):
             va = folds.valid_rows(k)
-            per_fold[h, k] = evaluate(metric, bundle.oof_columns[va, h], y[va])
+            per_fold[h, k] = evaluate(metric, record.oof_columns[va, h], y[va])
     return CvScore(per_fold=per_fold)
 
 
 @dataclass
 class CbfModel:
-    """Trained two-layer bundle with everything needed to predict.
-
-    A model read back by `load_archive` holds only what `predict_cbf`
-    reads; its training-only fields are None. These are `folds`,
-    `label_mapping`, `H` and `seed`; each bundle's `samples` and
-    `oof_columns`; the layer-2 `candidates`, `cv` and `selected_index`; and
-    each layer-2 fold model's `converged`, `n_iter` and
-    `single_class_warning`. Its base models are cut by `export_gbm`.
-    """
+    """A trained two-layer model: what `predict_cbf` reads and an archive
+    stores, nothing else."""
 
     bundles: list                 # Layer1Bundle, binary-label bundle first
-    layer2: Layer2Selection
+    layer2_betas: list            # winner's K fold coefficient vectors
+    column_order: list            # [(label_kind, h), ...]
+
+
+@dataclass
+class TrainingRecord:
+    """What a run learned besides its model."""
+
     folds: FoldAssignment
     label_mapping: LabelMapping | None
     H: int
     seed: int
-    column_order: list            # [(label_kind, h), ...]
+    bundles: list                 # Layer1Record, in the model's bundle order
+    layer2: Layer2Selection
 
 
 def layer1_feature_matrix(model: CbfModel, data: SparseDataset) -> np.ndarray:
@@ -290,13 +291,14 @@ def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:
     are averaged on the probability scale.
     """
     X = layer1_feature_matrix(model, data)
-    probs = [predict_proba(m, X) for m in model.layer2.fold_models]
+    probs = [predict_proba(beta, X) for beta in model.layer2_betas]
     return np.mean(probs, axis=0)
 
 
 @dataclass
 class RunResult:
     model: CbfModel
+    record: TrainingRecord
     train_data: SparseDataset
     test_data: SparseDataset | None
     train_pred: np.ndarray
@@ -361,7 +363,15 @@ def _split_test(dataset, fraction, seed):
 
 
 def run_cbf(config: RunConfig) -> RunResult:
-    """Execute the full pipeline from a validated run configuration."""
+    """Execute the full pipeline from a validated run configuration.
+
+    Every hyper-parameter sample is drawn first, so ranges too narrow for H
+    distinct samples raise `ConfigError` before any data is read."""
+    samples = sample_hyperparams(config.H, derive_seed(config.seed, 2),
+                                 booster_mix=config.booster_mix,
+                                 ranges=config.sampling_ranges)
+    candidates = sample_layer2_params(config.H, derive_seed(config.seed, 4),
+                                      config.sampling_ranges)
     label_cfg = config.label
     mapping = label_cfg.mapping
     full = load_run_dataset(config.train_path, label_cfg)
@@ -376,35 +386,34 @@ def run_cbf(config: RunConfig) -> RunResult:
 
     folds = stratified_kfold(train.binary_labels, config.K,
                              derive_seed(config.seed, 1))
-    samples = sample_hyperparams(config.H, derive_seed(config.seed, 2),
-                                 booster_mix=config.booster_mix,
-                                 ranges=config.sampling_ranges)
     workers = config.effective_workers()
 
-    bundles = []
+    bundles, records = [], []
     for tag, kind in enumerate(k for k in ("binary", "continuous")
                                if k in label_cfg.kinds):
-        bundles.append(train_layer1(
+        bundle, rec = train_layer1(
             train, kind, folds, samples, config.stop_metric,
             label_mapping=mapping, patience=config.patience,
             max_rounds=config.max_rounds, master_seed=config.seed,
-            bundle_tag=tag, workers=workers))
+            bundle_tag=tag, workers=workers)
+        bundles.append(bundle)
+        records.append(rec)
 
-    md = assemble_md(bundles, train.binary_labels)
-    sel = train_layer2(md, folds, config.H, derive_seed(config.seed, 4),
-                       config.selection_metric,
-                       ranges=config.sampling_ranges,
+    md = assemble_md(records, train.binary_labels)
+    sel = train_layer2(md, folds, candidates, config.selection_metric,
                        max_iter=config.layer2.max_iter, tol=config.layer2.tol)
 
-    model = CbfModel(bundles=bundles, layer2=sel, folds=folds,
-                     label_mapping=mapping, H=config.H, seed=config.seed,
+    model = CbfModel(bundles=bundles,
+                     layer2_betas=[m.beta for m in sel.fold_models],
                      column_order=md.columns)
+    record = TrainingRecord(folds=folds, label_mapping=mapping, H=config.H,
+                            seed=config.seed, bundles=records, layer2=sel)
 
     train_pred = predict_cbf(model, train)
     valid_pred = np.empty(train.n_rows)
     for k in range(folds.K):
         va = folds.valid_rows(k)
-        valid_pred[va] = predict_proba(sel.fold_models[k], md.X[va])
+        valid_pred[va] = predict_proba(model.layer2_betas[k], md.X[va])
     test_pred = predict_cbf(model, test) if test is not None else None
 
     report = {}
@@ -420,7 +429,8 @@ def run_cbf(config: RunConfig) -> RunResult:
     else:
         rel, rel_split = reliability_bins(train_pred, train.binary_labels), "train"
 
-    return RunResult(model=model, train_data=train, test_data=test,
-                     train_pred=train_pred, valid_pred=valid_pred,
-                     test_pred=test_pred, metrics_report=report,
-                     reliability=rel, reliability_split=rel_split)
+    return RunResult(model=model, record=record, train_data=train,
+                     test_data=test, train_pred=train_pred,
+                     valid_pred=valid_pred, test_pred=test_pred,
+                     metrics_report=report, reliability=rel,
+                     reliability_split=rel_split)

@@ -19,7 +19,6 @@ from a dense `ValueLookup` that many models can share.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -115,10 +114,8 @@ class LinearDelta:
 class GbmModel:
     """A boosted model: base score plus `learning_rate` times its learners.
 
-    `train_gbm` keeps every round trained and its training log. A model cut
-    by `export_gbm` (and so one read back from an archive) holds only what
-    `predict_gbm` reads at the optimal round: `optimal_round` equals its
-    learner count and `training_log` is None.
+    `train_gbm` returns it cut at the optimal round: the trees up to it, or
+    the gblinear deltas up to it summed into one.
     """
 
     booster: str
@@ -126,12 +123,20 @@ class GbmModel:
     base_score: float
     learning_rate: float
     learners: list
-    optimal_round: int
-    training_log: list  # valid score per round, index 0 = base score only
     n_cols: int
-    # ((rounds, learner count), _Forest) of the last tree walk; _forest_of
-    _forest: tuple = field(default=None, init=False, repr=False,
-                           compare=False)
+    # _Forest of the trees, built by the first walk; _forest_of
+    _forest: object = field(default=None, init=False, repr=False,
+                            compare=False)
+
+
+@dataclass
+class TrainingLog:
+    """How a `train_gbm` run went: the oriented (larger-is-better) valid
+    score of every round trained, index 0 for the base score alone, and the
+    optimal round, its argbest."""
+
+    scores: list
+    optimal_round: int
 
 
 def grad_hess(loss, y, raw):
@@ -632,12 +637,12 @@ def _metric_labels(dataset, loss, label_mapping):
 
 def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
               stop_metric: MetricSpec, *, label_mapping: LabelMapping = None,
-              patience=100, max_rounds=2000, seed=0) -> GbmModel:
+              patience=100, max_rounds=2000, seed=0):
     """Boost until the valid metric stops improving for `patience` rounds.
 
-    The training log holds the oriented (larger-is-better) valid metric
-    value of every round, index 0 for the base score alone; the optimal
-    round is its argbest.
+    Returns the model cut at the optimal round and the run's `TrainingLog`.
+    A cut gbtree model scores the valid rows bit for bit as boosting did at
+    that round.
     """
     if train.n_cols != valid.n_cols:
         raise TrainingError("train and valid column counts differ")
@@ -714,31 +719,31 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
         if t - best_round >= patience:
             break
 
-    return GbmModel(booster=booster, loss=loss, base_score=base,
-                    learning_rate=lr, learners=learners,
-                    optimal_round=best_round, training_log=log,
-                    n_cols=train.n_cols)
+    kept = learners[:best_round]
+    if booster == GBLINEAR and kept:
+        kept = [_summed_delta(kept)]
+    return (GbmModel(booster=booster, loss=loss, base_score=base,
+                     learning_rate=lr, learners=kept, n_cols=train.n_cols),
+            TrainingLog(scores=log, optimal_round=best_round))
 
 
-def _forest_of(model: GbmModel, rounds) -> _Forest:
-    """The model's first `rounds` trees as one forest, kept on the model for
-    the next walk."""
-    key = (rounds, len(model.learners))
-    if model._forest is None or model._forest[0] != key:
-        model._forest = (key, _Forest(model.learners[:rounds]))
-    return model._forest[1]
+def _forest_of(model: GbmModel) -> _Forest:
+    """The model's trees as one forest, kept on the model for the next walk."""
+    if model._forest is None:
+        model._forest = _Forest(model.learners)
+    return model._forest
 
 
 def split_features(model: GbmModel) -> np.ndarray:
-    """Sorted ids of the features the model's trees split on, up to its
-    optimal round; a ValueLookup over them serves `predict_gbm`."""
-    if model.booster != GBTREE or model.optimal_round == 0:
+    """Sorted ids of the features the model's trees split on; a ValueLookup
+    over them serves `predict_gbm`."""
+    if model.booster != GBTREE or not model.learners:
         return np.empty(0, dtype=np.int64)
-    return _forest_of(model, model.optimal_round).features
+    return _forest_of(model).features
 
 
-def predict_gbm(model: GbmModel, data, rounds=None) -> np.ndarray:
-    """Predict with the first `rounds` learners (default: the optimal round).
+def predict_gbm(model: GbmModel, data) -> np.ndarray:
+    """Predict with every learner of the model.
 
     `data` is a SparseDataset, or a ValueLookup over a block of its rows that
     covers the model's `split_features`, which many models can share. All
@@ -751,10 +756,9 @@ def predict_gbm(model: GbmModel, data, rounds=None) -> np.ndarray:
     if data.n_cols != model.n_cols:
         raise DataError(
             f"column-count mismatch: model has {model.n_cols}, data has {data.n_cols}")
-    r = model.optimal_round if rounds is None else rounds
-    learners = model.learners[:r]
+    learners = model.learners
     if model.booster == GBTREE and learners:
-        forest = _forest_of(model, r)
+        forest = _forest_of(model)
         blocks = []
         for lookup in _lookups(data, forest.features):
             terms = np.empty((len(learners) + 1, lookup.n_rows))
@@ -774,17 +778,3 @@ def predict_gbm(model: GbmModel, data, rounds=None) -> np.ndarray:
     if model.loss == LOGISTIC:
         return expit(raw)
     return raw
-
-
-def export_gbm(model: GbmModel) -> GbmModel:
-    """The model cut to what `predict_gbm` reads at its optimal round.
-
-    Trees are kept up to the optimal round; gblinear deltas up to it are
-    summed into one by the same helper `predict_gbm` uses, so the cut model
-    predicts bit for bit like the full one.
-    """
-    learners = model.learners[:model.optimal_round]
-    if model.booster == GBLINEAR and learners:
-        learners = [_summed_delta(learners)]
-    return dataclasses.replace(model, learners=learners,
-                               optimal_round=len(learners), training_log=None)

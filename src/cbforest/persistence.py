@@ -1,13 +1,14 @@
 """Model archive: a self-describing JSON document with a content checksum.
 
-The archive holds only what `predict_cbf` reads: per bundle its label kind
-and base models cut at their optimal round (each tree as its flat node
-arrays, gblinear deltas summed into one), the layer-2 coefficient vectors
-used at prediction, the column order and the run config. Training reports
-live in the TSV files beside it. Trees are checked on load, so a walk of
-any loaded tree ends at one of its leaves, and so is the rest of the model:
-every bundle has base models, and every layer-2 vector has an intercept and
-one coefficient per column of the manifest.
+The archive holds a `CbfModel`, which is only what `predict_cbf` reads: per
+bundle its label kind and base models (each tree as its flat node arrays, a
+gblinear model's deltas as one), the layer-2 coefficient vectors and the
+column order. It also holds the run config. What training learned besides
+the model is the run's `TrainingRecord`; its reports live in the TSV files
+beside the archive. Trees are checked on load, so a walk of any loaded tree
+ends at one of its leaves, and so is the rest of the model: every bundle has
+base models, and every layer-2 vector has an intercept and one coefficient
+per column of the manifest.
 
 Floats round-trip exactly through Python's json (repr-based), so a saved
 model reproduces its in-memory predictions bit for bit.
@@ -21,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .elastic_net import ElasticNetModel
-from .ensemble import CbfModel, Layer1Bundle, Layer2Selection
-from .gbm import DecisionTree, GbmModel, LinearDelta, export_gbm
+from .ensemble import CbfModel, Layer1Bundle
+from .gbm import DecisionTree, GbmModel, LinearDelta
 
 FORMAT_VERSION = 3
 
@@ -81,18 +81,17 @@ def _learner_from_dict(d, n_cols):
 
 
 def _gbm_to_dict(m: GbmModel):
-    m = export_gbm(m)
     return {"booster": m.booster, "loss": m.loss, "base_score": m.base_score,
             "learning_rate": m.learning_rate, "n_cols": m.n_cols,
             "learners": [_learner_to_dict(l) for l in m.learners]}
 
 
 def _gbm_from_dict(d):
-    learners = [_learner_from_dict(l, d["n_cols"]) for l in d["learners"]]
     return GbmModel(booster=d["booster"], loss=d["loss"],
                     base_score=d["base_score"],
-                    learning_rate=d["learning_rate"], learners=learners,
-                    optimal_round=len(learners), training_log=None,
+                    learning_rate=d["learning_rate"],
+                    learners=[_learner_from_dict(l, d["n_cols"])
+                              for l in d["learners"]],
                     n_cols=d["n_cols"])
 
 
@@ -102,7 +101,7 @@ def model_to_dict(model: CbfModel):
                      "models": [[_gbm_to_dict(m) for m in row]
                                 for row in b.models]}
                     for b in model.bundles],
-        "layer2_betas": [m.beta.tolist() for m in model.layer2.fold_models],
+        "layer2_betas": [b.tolist() for b in model.layer2_betas],
         "column_order": [list(c) for c in model.column_order],
     }
 
@@ -124,18 +123,12 @@ def model_from_dict(d) -> CbfModel:
             raise PersistenceError(
                 f"malformed archive: a layer-2 coefficient vector has length "
                 f"{len(b)}, not 1 + {width - 1} columns")
-    betas = [ElasticNetModel(beta=np.asarray(b), converged=None, n_iter=None,
-                             single_class_warning=None)
-             for b in d["layer2_betas"]]
-    sel = Layer2Selection(candidates=None, cv=None, selected_index=None,
-                          fold_models=betas)
     return CbfModel(
-        bundles=[Layer1Bundle(label_kind=b["label_kind"], samples=None,
+        bundles=[Layer1Bundle(label_kind=b["label_kind"],
                               models=[[_gbm_from_dict(m) for m in row]
-                                      for row in b["models"]],
-                              oof_columns=None)
+                                      for row in b["models"]])
                  for b in d["bundles"]],
-        layer2=sel, folds=None, label_mapping=None, H=None, seed=None,
+        layer2_betas=[np.asarray(b) for b in d["layer2_betas"]],
         column_order=[tuple(c) for c in d["column_order"]])
 
 

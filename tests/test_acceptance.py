@@ -20,8 +20,8 @@ from cbforest.elastic_net import (ElasticNetParams, fit_elastic_net,
                                   smooth_objective)
 from cbforest.ensemble import (CbfModel, assemble_md, derive_seed, layer1_cv,
                                predict_cbf, predict_gbm, run_cbf,
-                               sample_hyperparams, train_layer1, train_layer2,
-                               _split_test)
+                               sample_hyperparams, sample_layer2_params,
+                               train_layer1, train_layer2, _split_test)
 from cbforest.gbm import LOGISTIC, QUADRATIC, grad_hess
 from cbforest.metrics import (MetricSpec, auc_bed, auc_prc, auc_roc,
                               enrichment_factor, logloss, reliability_score)
@@ -138,22 +138,22 @@ def test_criterion_3_stacking_structure(tmp_path):
     folds = stratified_kfold(ds.binary_labels, K, derive_seed(7, 1))
     samples = sample_hyperparams(H, derive_seed(7, 2))
     stop = MetricSpec(kind="auc_roc")
-    bundles = [
+    trained = [
         train_layer1(ds, kind, folds, samples, stop, label_mapping=mapping,
                      patience=10, max_rounds=40, master_seed=7, bundle_tag=tag)
         for tag, kind in enumerate(("binary", "continuous"))
     ]
-    md = assemble_md(bundles, ds.binary_labels)
+    md = assemble_md([rec for _, rec in trained], ds.binary_labels)
 
     width_ok = md.X.shape == (2000, 2 * H)
     order_ok = [c[0] for c in md.columns] == ["binary"] * H + ["continuous"] * H
     purity_ok = True
-    for b in bundles:
+    for b, rec in trained:
         for h in range(H):
             for k in range(K):
                 va = folds.valid_rows(k)
                 direct = predict_gbm(b.models[h][k], ds.subset(va))
-                if not np.array_equal(direct, b.oof_columns[va, h]):
+                if not np.array_equal(direct, rec.oof_columns[va, h]):
                     purity_ok = False
     elapsed = time.time() - t0
     ok = width_ok and order_ok and purity_ok and elapsed < 120.0
@@ -178,8 +178,8 @@ def _rare_event_run(tmp_path, seed):
         "workers": 1, "output_dir": str(tmp_path)})
     r = run_cbf(cfg)
     bundle = r.model.bundles[0]     # binary-label bundle
-    cv = layer1_cv(bundle, r.model.folds, r.train_data.binary_labels,
-                   MetricSpec(kind="auc_prc"))
+    cv = layer1_cv(r.record.bundles[0], r.record.folds,
+                   r.train_data.binary_labels, MetricSpec(kind="auc_prc"))
     best_h = int(np.argmax(cv.mean))
     gbm_pred = np.mean([predict_gbm(m, r.test_data)
                         for m in bundle.models[best_h]], axis=0)
@@ -221,15 +221,15 @@ def _dual_label_trial(tmp_path, seed):
     cb = train_layer1(train, "continuous", folds, samples, stop,
                       bundle_tag=1, **kw)
     out = {}
-    for name, bundles in (("both", [bb, cb]), ("binary", [bb])):
-        md = assemble_md(bundles, train.binary_labels)
-        sel = train_layer2(md, folds, H=1, seed=derive_seed(seed, 4),
+    for name, trained in (("both", [bb, cb]), ("binary", [bb])):
+        md = assemble_md([rec for _, rec in trained], train.binary_labels)
+        sel = train_layer2(md, folds,
+                           sample_layer2_params(1, derive_seed(seed, 4)),
                            metric=MetricSpec(kind="auc_prc"), tol=1e-6,
                            max_iter=20000)
-        model = CbfModel(
-            bundles=sorted(bundles, key=lambda b: b.label_kind != "binary"),
-            layer2=sel, folds=folds, label_mapping=mapping, H=1, seed=seed,
-            column_order=md.columns)
+        model = CbfModel(bundles=[b for b, _ in trained],
+                         layer2_betas=[m.beta for m in sel.fold_models],
+                         column_order=md.columns)
         out[name] = auc_prc(predict_cbf(model, test), test.binary_labels)
     return out
 
@@ -251,12 +251,13 @@ def test_criterion_5_dual_label_gain(tmp_path):
 
 # ------------------------------------------------- 6: scaling the grid width
 
-def _subset_bundle(b, h):
-    """The first h base models of a bundle, with matching columns."""
-    idx = list(range(h))
-    return dataclasses.replace(b, samples=[b.samples[i] for i in idx],
-                               models=[b.models[i] for i in idx],
-                               oof_columns=b.oof_columns[:, idx])
+def _subset_bundle(b, rec, h):
+    """The first h base models of a bundle, and its record with matching
+    columns."""
+    return (dataclasses.replace(b, models=b.models[:h]),
+            dataclasses.replace(rec, samples=rec.samples[:h],
+                                logs=rec.logs[:h],
+                                oof_columns=rec.oof_columns[:, :h]))
 
 
 def _h_scaling_trial(tmp_path, seed):
@@ -267,24 +268,25 @@ def _h_scaling_trial(tmp_path, seed):
     train, test = _split_test(ds, 0.2, seed)
     folds = stratified_kfold(train.binary_labels, 3, derive_seed(seed, 1))
     samples = sample_hyperparams(10, derive_seed(seed, 2))
-    bb = train_layer1(train, "binary", folds, samples,
-                      MetricSpec(kind="auc_roc"), label_mapping=mapping,
-                      patience=20, max_rounds=80, master_seed=seed,
-                      bundle_tag=0)
+    bb, rec = train_layer1(train, "binary", folds, samples,
+                           MetricSpec(kind="auc_roc"), label_mapping=mapping,
+                           patience=20, max_rounds=80, master_seed=seed,
+                           bundle_tag=0)
     sel_metric = MetricSpec(kind="auc_prc")
-    cv = layer1_cv(bb, folds, train.binary_labels, sel_metric)
+    cv = layer1_cv(rec, folds, train.binary_labels, sel_metric)
     out, gbm_ap = {}, {}
     for h in (1, 5, 10):
         # comparator: a single GBM, CV-selected from the same candidate pool
         best = int(np.argmax(cv.mean[:h]))
         single = predict_gbm(bb.models[best][0], test)
         gbm_ap[h] = auc_prc(single, test.binary_labels)
-        sub = _subset_bundle(bb, h)
-        md = assemble_md([sub], train.binary_labels)
-        sel = train_layer2(md, folds, H=h, seed=derive_seed(seed, 4),
+        sub, sub_rec = _subset_bundle(bb, rec, h)
+        md = assemble_md([sub_rec], train.binary_labels)
+        sel = train_layer2(md, folds,
+                           sample_layer2_params(h, derive_seed(seed, 4)),
                            metric=sel_metric, tol=1e-6, max_iter=20000)
-        model = CbfModel(bundles=[sub], layer2=sel, folds=folds,
-                         label_mapping=mapping, H=h, seed=seed,
+        model = CbfModel(bundles=[sub],
+                         layer2_betas=[m.beta for m in sel.fold_models],
                          column_order=md.columns)
         out[h] = auc_prc(predict_cbf(model, test), test.binary_labels)
     return gbm_ap, out
@@ -315,11 +317,11 @@ def test_criterion_7_early_stopping_contract(tiny_run):
     _, result = tiny_run
     checked = 0
     ok = True
-    for bundle in result.model.bundles:
-        for per_candidate in bundle.models:
-            for model in per_candidate:
-                valid = model.training_log
-                opt = model.optimal_round
+    for bundle in result.record.bundles:
+        for per_candidate in bundle.logs:
+            for log in per_candidate:
+                valid = log.scores
+                opt = log.optimal_round
                 if valid[opt] != max(valid):
                     ok = False
                 # patience window after the optimum never beats it
@@ -383,7 +385,7 @@ def test_criterion_9_calibration_order_invariance():
                             tol=1e-8)
         if m.beta[1] <= 0:
             continue
-        p = predict_proba(m, X)
+        p = predict_proba(m.beta, X)
         if not np.array_equal(np.argsort(p, kind="stable"),
                               np.argsort(scores, kind="stable")):
             ok = False

@@ -7,7 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,8 @@ import cbforest
 from cbforest.cli import main
 from cbforest.config import (DEFAULT_RANGES, ConfigError, LabelConfig,
                              Layer2Config, RunConfig)
-from cbforest.elastic_net import (ElasticNetModel, fit_elastic_net,
-                                  predict_proba)
-from cbforest.ensemble import layer1_feature_matrix, predict_cbf
+from cbforest.elastic_net import fit_elastic_net, predict_proba
+from cbforest.ensemble import CbfModel, layer1_feature_matrix, predict_cbf
 from cbforest.gbm import (GBLINEAR, GBTREE, QUADRATIC, DecisionTree,
                           TreeHyperParams, grad_hess, predict_gbm,
                           predict_tree)
@@ -175,7 +174,7 @@ def test_archive_with_the_removed_refit_flag_loads(tiny_run, tmp_path, refit):
     one beta of a refit on all rows. Both shapes load and predict as the
     mean over their betas."""
     _, result = tiny_run
-    beta = np.mean([m.beta for m in result.model.layer2.fold_models], axis=0)
+    beta = np.mean(result.model.layer2_betas, axis=0)
 
     def as_written_before(doc):
         doc["model"]["use_layer2_refit"] = refit
@@ -187,7 +186,7 @@ def test_archive_with_the_removed_refit_flag_loads(tiny_run, tmp_path, refit):
     loaded, _ = load_archive(path)
     data = result.train_data
     if refit:
-        expected = predict_proba(ElasticNetModel(beta=beta),
+        expected = predict_proba(beta,
                                  layer1_feature_matrix(loaded, data))
     else:
         expected = predict_cbf(result.model, data)
@@ -239,22 +238,55 @@ def test_archive_holds_only_prediction_state(tiny_run, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 3
     boosters, past_optimum = set(), 0
-    for bundle, stored in zip(result.model.bundles, doc["model"]["bundles"]):
-        for row, stored_row in zip(bundle.models, stored["models"]):
-            for m, sm in zip(row, stored_row):
+    for bundle, record, stored in zip(result.model.bundles,
+                                      result.record.bundles,
+                                      doc["model"]["bundles"], strict=True):
+        for row, logs, stored_row in zip(bundle.models, record.logs,
+                                         stored["models"], strict=True):
+            for m, log, sm in zip(row, logs, stored_row, strict=True):
                 boosters.add(m.booster)
-                past_optimum += len(m.learners) - m.optimal_round
-                kept = (m.optimal_round if m.booster == GBTREE
-                        else min(m.optimal_round, 1))
-                assert len(sm["learners"]) == kept
+                past_optimum += len(log.scores) - 1 - log.optimal_round
+                kept = (log.optimal_round if m.booster == GBTREE
+                        else min(log.optimal_round, 1))
+                assert len(m.learners) == len(sm["learners"]) == kept
     assert boosters == {GBTREE, GBLINEAR}
     assert past_optimum > 0
-    training_only = {"training_log", "oof_columns", "fold_of_row", "samples",
-                     "cv_per_fold"}
+    training_only = {"training_log", "logs", "scores", "optimal_round",
+                     "oof_columns", "fold_of_row", "samples", "cv_per_fold"}
     assert not training_only & set(_json_keys(doc))
+    assert [f.name for f in fields(CbfModel)] == ["bundles", "layer2_betas",
+                                                  "column_order"]
+
+
+def _assert_same(a, b, where="model"):
+    """`a` and `b` hold equal values field for field, arrays compared by
+    `array_equal`."""
+    if is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in fields(a):
+            if f.compare:
+                _assert_same(getattr(a, f.name), getattr(b, f.name),
+                             f"{where}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and np.array_equal(a, b), where
+    else:
+        assert a == b, where
+
+
+def test_loaded_model_equals_the_trained_model(tiny_run, tmp_path):
+    config, result = tiny_run
+    path = tmp_path / "model.cbf"
+    save_archive(path, result.model, config.to_dict())
     loaded, _ = load_archive(path)
-    assert loaded.folds is None and loaded.layer2.cv is None
-    assert all(b.oof_columns is None for b in loaded.bundles)
+    boosters = {m.booster for b in result.model.bundles
+                for row in b.models for m in row}
+    assert boosters == {GBTREE, GBLINEAR}
+    assert [b.label_kind for b in loaded.bundles] == ["binary", "continuous"]
+    _assert_same(result.model, loaded)
 
 
 def test_failed_save_keeps_the_previous_archive(tiny_run, tmp_path,
@@ -553,6 +585,25 @@ def test_train_rejects_a_layer2_learning_rate_range(tiny_dataset, tmp_path,
     assert run_cli(["train", "--config", str(cfg_path)]) == 1
     assert ("unknown sampling_ranges entry layer2.learning_rate"
             in capsys.readouterr().err)
+
+
+def test_train_rejects_too_narrow_layer2_ranges_before_training(
+        tiny_dataset, tmp_path, capsys, monkeypatch):
+    """Ranges that allow fewer than H distinct layer-2 candidates are a
+    config error, found before any base model trains."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("a base model trained")
+
+    monkeypatch.setattr("cbforest.ensemble.train_layer1", no_training)
+    cfg = tiny_config_dict(tiny_dataset, H=2, sampling_ranges={
+        "layer2": {"lambda1": ["log", 1, 1], "lambda2": ["log", 1, 1]}})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: could not draw a unique layer-2 "
+                          "candidate")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("layer2", [

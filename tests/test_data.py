@@ -384,6 +384,15 @@ def test_load_csv_all_zero_features(tmp_path):
     assert ds.row_pairs(1) == []
 
 
+@pytest.mark.parametrize("header, name", [("a,a,label", "a"),
+                                          ("label,a,label", "label")])
+def test_load_csv_rejects_a_repeated_column_name(tmp_path, header, name):
+    p = tmp_path / "d.csv"
+    p.write_text(f"{header}\n1,2,0\n3,4,1\n")
+    with pytest.raises(DataError, match=f"repeated column '{name}'"):
+        load_csv(p, "label")
+
+
 def test_load_csv_non_numeric_cell(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f0\n1,abc\n")

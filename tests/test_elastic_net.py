@@ -7,9 +7,9 @@ import pytest
 from scipy.optimize import minimize
 
 from _oracles import elastic_net_cd_oracle, elastic_net_objective_oracle
-from cbforest.elastic_net import (ElasticNetModel, ElasticNetParams,
-                                  fit_elastic_net, predict_proba,
-                                  smooth_gradient, smooth_objective)
+from cbforest.elastic_net import (ElasticNetParams, fit_elastic_net,
+                                  predict_proba, smooth_gradient,
+                                  smooth_objective)
 
 SIGMOID_2 = 0.8807970779778823
 
@@ -57,7 +57,7 @@ def test_intercept_only_balanced_labels():
     y = np.array([1, 0] * 5, dtype=float)
     m = fit_elastic_net(X, y, ElasticNetParams())
     assert m.beta[0] == pytest.approx(0.0, abs=1e-7)
-    assert predict_proba(m, X) == pytest.approx(np.full(10, 0.5), abs=1e-7)
+    assert predict_proba(m.beta, X) == pytest.approx(np.full(10, 0.5), abs=1e-7)
 
 
 def test_huge_l1_zeroes_coefficient_intercept_free():
@@ -189,7 +189,7 @@ def test_single_class_warning_flag():
     # the unpenalized intercept has no finite optimum
     assert not m.converged
     # the intercept still pushes probabilities toward the base rate of 1
-    assert predict_proba(m, X).min() > 0.5
+    assert predict_proba(m.beta, X).min() > 0.5
 
 
 def test_duplicate_columns_without_penalty_converge():
@@ -251,32 +251,32 @@ def test_smooth_gradient_matches_finite_differences():
 # ------------------------------------------------------------ prediction
 
 def test_predict_proba_zero_beta():
-    m = ElasticNetModel(beta=np.zeros(3))
+    beta = np.zeros(3)
     X = np.random.default_rng(10).random((5, 2))
-    assert np.array_equal(predict_proba(m, X), np.full(5, 0.5))
+    assert np.array_equal(predict_proba(beta, X), np.full(5, 0.5))
 
 
 def test_predict_proba_zero_feature():
-    m = ElasticNetModel(beta=np.array([0.0, 1.0]))
-    assert predict_proba(m, np.array([[0.0]]))[0] == 0.5
+    beta = np.array([0.0, 1.0])
+    assert predict_proba(beta, np.array([[0.0]]))[0] == 0.5
 
 
 def test_predict_proba_frozen_value():
-    m = ElasticNetModel(beta=np.array([1.0, 2.0]))
-    assert predict_proba(m, np.array([[0.5]]))[0] == pytest.approx(
+    beta = np.array([1.0, 2.0])
+    assert predict_proba(beta, np.array([[0.5]]))[0] == pytest.approx(
         SIGMOID_2, abs=1e-12)
 
 
 def test_predict_proba_strictly_inside_unit_interval():
-    m = ElasticNetModel(beta=np.array([0.0, 1000.0]))
-    p = predict_proba(m, np.array([[-10.0], [10.0]]))
+    beta = np.array([0.0, 1000.0])
+    p = predict_proba(beta, np.array([[-10.0], [10.0]]))
     assert 0.0 < p[0] and p[1] < 1.0
 
 
 def test_predict_proba_dimension_mismatch():
-    m = ElasticNetModel(beta=np.array([0.0, 1.0]))
+    beta = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
-        predict_proba(m, np.zeros((2, 3)))
+        predict_proba(beta, np.zeros((2, 3)))
 
 
 def test_calibration_map_preserves_ordering_with_positive_coefficient():
@@ -286,6 +286,6 @@ def test_calibration_map_preserves_ordering_with_positive_coefficient():
     X = np.clip(0.1 + 0.8 * y + g.normal(0, 0.05, 300), 0.0, 1.0).reshape(-1, 1)
     m = fit_elastic_net(X, y, ElasticNetParams(), tol=1e-6)
     assert m.beta[1] > 0
-    p = predict_proba(m, X)
+    p = predict_proba(m.beta, X)
     assert np.array_equal(np.argsort(p, kind="stable"),
                           np.argsort(X[:, 0], kind="stable"))

@@ -1,4 +1,5 @@
 """Stacking pipeline tests: sampling, layer-1 grids, MD assembly, layer-2."""
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from cbforest.config import ConfigError, RunConfig
 from cbforest.data import (DataError, LabelMapping, SparseDataset,
                            stratified_kfold)
 from cbforest.elastic_net import predict_proba
-from cbforest.ensemble import (CbfModel, CvScore, Layer1Bundle, Layer2Data,
-                               assemble_md, derive_seed, layer1_cv,
+from cbforest.ensemble import (CbfModel, CvScore, Layer1Bundle, Layer1Record,
+                               Layer2Data, assemble_md, derive_seed, layer1_cv,
                                layer1_feature_matrix, predict_cbf, run_cbf,
-                               sample_hyperparams, train_layer1, train_layer2)
+                               sample_hyperparams, sample_layer2_params,
+                               train_layer1, train_layer2)
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, QUADRATIC, GbmModel,
                           LinearHyperParams, TreeHyperParams, predict_gbm)
 from cbforest.metrics import MetricSpec, logloss
@@ -98,44 +100,47 @@ def small_layer1():
     ds = make_binary_dataset(n=160, seed=4)
     folds = stratified_kfold(ds.binary_labels, 2, seed=0)
     samples = sample_hyperparams(1, seed=7)
-    bundle = train_layer1(ds, "binary", folds, samples,
-                          MetricSpec(kind="auc_roc"), patience=10,
-                          max_rounds=30, master_seed=7, bundle_tag=0)
-    return ds, folds, bundle
+    bundle, record = train_layer1(ds, "binary", folds, samples,
+                                  MetricSpec(kind="auc_roc"), patience=10,
+                                  max_rounds=30, master_seed=7, bundle_tag=0)
+    return ds, folds, bundle, record
 
 
 def test_layer1_h1_k2_structure(small_layer1):
-    ds, folds, bundle = small_layer1
+    ds, folds, bundle, record = small_layer1
     assert len(bundle.models) == 1
     assert len(bundle.models[0]) == 2
-    assert bundle.oof_columns.shape == (ds.n_rows, 1)
+    assert len(record.logs) == 1 and len(record.logs[0]) == 2
+    assert record.oof_columns.shape == (ds.n_rows, 1)
 
 
 def test_layer1_out_of_fold_purity(small_layer1):
-    ds, folds, bundle = small_layer1
+    ds, folds, bundle, record = small_layer1
     for k in range(folds.K):
         va = folds.valid_rows(k)
         expected = predict_gbm(bundle.models[0][k], ds.subset(va))
-        assert np.array_equal(bundle.oof_columns[va, 0], expected)
+        assert np.array_equal(record.oof_columns[va, 0], expected)
 
 
 def test_layer1_binary_scores_in_unit_interval(small_layer1):
-    _, _, bundle = small_layer1
-    col = bundle.oof_columns[:, 0]
+    record = small_layer1[3]
+    col = record.oof_columns[:, 0]
     assert (col > 0.0).all() and (col < 1.0).all()
 
 
 def test_layer1_worker_count_independence(small_layer1):
-    ds, folds, bundle = small_layer1
-    again = train_layer1(ds, "binary", folds, bundle.samples,
-                         MetricSpec(kind="auc_roc"), patience=10,
-                         max_rounds=30, master_seed=7, bundle_tag=0, workers=2)
-    assert np.array_equal(bundle.oof_columns, again.oof_columns)
+    ds, folds, bundle, record = small_layer1
+    _, again = train_layer1(ds, "binary", folds, record.samples,
+                            MetricSpec(kind="auc_roc"), patience=10,
+                            max_rounds=30, master_seed=7, bundle_tag=0,
+                            workers=2)
+    assert np.array_equal(record.oof_columns, again.oof_columns)
+    assert again.logs == record.logs
 
 
 def test_layer1_cv_mean_property(small_layer1):
-    ds, folds, bundle = small_layer1
-    cv = layer1_cv(bundle, folds, ds.binary_labels, MetricSpec(kind="auc_roc"))
+    ds, folds, _, record = small_layer1
+    cv = layer1_cv(record, folds, ds.binary_labels, MetricSpec(kind="auc_roc"))
     assert cv.per_fold.shape == (1, 2)
     assert cv.mean[0] == pytest.approx(cv.per_fold[0].mean(), abs=1e-15)
 
@@ -143,7 +148,7 @@ def test_layer1_cv_mean_property(small_layer1):
 # ---------------------------------------------------------- assemble_md
 
 def fake_bundle(kind, cols):
-    return Layer1Bundle(label_kind=kind, samples=[], models=[],
+    return Layer1Record(label_kind=kind, samples=[], logs=[],
                         oof_columns=np.asarray(cols, dtype=float))
 
 
@@ -187,7 +192,7 @@ def make_md(seed=0, n=300, width=2):
 def test_train_layer2_h1_selects_only_candidate():
     md = make_md()
     folds = stratified_kfold(md.y, 3, seed=1)
-    sel = train_layer2(md, folds, H=1, seed=0,
+    sel = train_layer2(md, folds, sample_layer2_params(1, seed=0),
                        metric=MetricSpec(kind="auc_prc"), tol=1e-6,
                        max_iter=20000)
     assert sel.selected_index == 0
@@ -202,7 +207,7 @@ def test_train_layer2_tie_breaks_to_lowest_index():
     y[0], y[1] = 1, 0
     md = Layer2Data(X=np.full((120, 1), 0.5), y=y, columns=[("binary", 0)])
     folds = stratified_kfold(y, 2, seed=0)
-    sel = train_layer2(md, folds, H=3, seed=0,
+    sel = train_layer2(md, folds, sample_layer2_params(3, seed=0),
                        metric=MetricSpec(kind="auc_prc"), tol=1e-6,
                        max_iter=20000)
     assert (sel.cv.mean == sel.cv.mean[0]).all()
@@ -211,7 +216,7 @@ def test_train_layer2_tie_breaks_to_lowest_index():
 
 def test_train_layer2_selection_is_argmax_of_mean(tiny_run):
     _, result = tiny_run
-    sel = result.model.layer2
+    sel = result.record.layer2
     oriented = sel.cv.mean  # selection metric auc_prc: larger is better
     assert sel.selected_index == int(np.argmax(oriented))
     assert np.array_equal(sel.cv.mean, sel.cv.per_fold.mean(axis=1))
@@ -226,13 +231,14 @@ def test_train_layer2_converges_on_every_fit(tiny_run, monkeypatch):
         return fits[-1]
 
     monkeypatch.setattr(ensemble, "fit_elastic_net", recording_fit)
-    md = assemble_md(result.model.bundles, result.train_data.binary_labels)
-    sel = train_layer2(md, result.model.folds, config.H,
-                       derive_seed(config.seed, 4), config.selection_metric,
+    md = assemble_md(result.record.bundles, result.train_data.binary_labels)
+    candidates = sample_layer2_params(config.H, derive_seed(config.seed, 4))
+    sel = train_layer2(md, result.record.folds, candidates,
+                       config.selection_metric,
                        max_iter=config.layer2.max_iter, tol=config.layer2.tol)
     assert len(fits) == config.H * config.K
     assert all(m.converged for m in fits)
-    assert np.array_equal(sel.cv.per_fold, result.model.layer2.cv.per_fold)
+    assert np.array_equal(sel.cv.per_fold, result.record.layer2.cv.per_fold)
 
 
 def test_train_layer2_calibration_sanity():
@@ -244,12 +250,12 @@ def test_train_layer2_calibration_sanity():
     y = (g.random(n) < p).astype(int)
     md = Layer2Data(X=p[:, None], y=y, columns=[("binary", 0)])
     folds = stratified_kfold(y, 3, seed=0)
-    sel = train_layer2(md, folds, H=2, seed=1,
+    sel = train_layer2(md, folds, sample_layer2_params(2, seed=1),
                        metric=MetricSpec(kind="logloss"), tol=1e-6,
                        max_iter=20000)
     p_test = g.uniform(0.05, 0.6, n)
     y_test = (g.random(n) < p_test).astype(int)
-    preds = np.mean([predict_proba(m, p_test[:, None])
+    preds = np.mean([predict_proba(m.beta, p_test[:, None])
                      for m in sel.fold_models], axis=0)
     assert logloss(preds, y_test) <= 1.01 * logloss(p_test, y_test)
 
@@ -257,8 +263,8 @@ def test_train_layer2_calibration_sanity():
 def test_train_layer2_column_permutation_invariance():
     md = make_md(seed=5, width=3)
     folds = stratified_kfold(md.y, 2, seed=0)
-    kwargs = dict(H=2, seed=3, metric=MetricSpec(kind="auc_prc"), tol=1e-6,
-                  max_iter=20000)
+    kwargs = dict(candidates=sample_layer2_params(2, seed=3),
+                  metric=MetricSpec(kind="auc_prc"), tol=1e-6, max_iter=20000)
     sel = train_layer2(md, folds, **kwargs)
     perm = Layer2Data(X=md.X[:, [2, 0, 1]], y=md.y,
                       columns=[md.columns[i] for i in (2, 0, 1)])
@@ -273,13 +279,10 @@ def test_fold_averaging_arithmetic():
     # two zero-learner quadratic fold models with base scores 0.2 and 0.4
     def stub(base):
         return GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=base,
-                        learning_rate=0.1, learners=[], optimal_round=0,
-                        training_log=[], n_cols=3)
-    bundle = Layer1Bundle(label_kind="continuous", samples=[],
-                          models=[[stub(0.2), stub(0.4)]],
-                          oof_columns=np.zeros((1, 1)))
-    model = CbfModel(bundles=[bundle], layer2=None, folds=None,
-                     label_mapping=None, H=1, seed=0,
+                        learning_rate=0.1, learners=[], n_cols=3)
+    bundle = Layer1Bundle(label_kind="continuous",
+                          models=[[stub(0.2), stub(0.4)]])
+    model = CbfModel(bundles=[bundle], layer2_betas=[np.zeros(2)],
                      column_order=[("continuous", 0)])
     ds = SparseDataset.from_rows([[(0, 1.0)], []], n_cols=3,
                                  binary_labels=[1, 0])
@@ -320,7 +323,7 @@ def test_predict_cbf_differs_from_oof_training_values(tiny_run):
     # OOF columns come from the opposite folds' models; prediction averages
     # all folds, so they differ wherever the base models learned anything
     _, result = tiny_run
-    oof = np.column_stack([b.oof_columns for b in result.model.bundles])
+    oof = np.column_stack([b.oof_columns for b in result.record.bundles])
     X = layer1_feature_matrix(result.model, result.train_data)
     informative = [c for c in range(X.shape[1]) if X[:, c].std() > 0]
     assert informative
@@ -331,10 +334,8 @@ def test_predict_cbf_differs_from_oof_training_values(tiny_run):
 def test_predict_cbf_manifest_mismatch(tiny_run):
     _, result = tiny_run
     model = result.model
-    broken = CbfModel(bundles=model.bundles, layer2=model.layer2,
-                      folds=model.folds, label_mapping=model.label_mapping,
-                      H=model.H, seed=model.seed,
-                      column_order=list(reversed(model.column_order)))
+    broken = dataclasses.replace(
+        model, column_order=list(reversed(model.column_order)))
     with pytest.raises(DataError):
         predict_cbf(broken, result.train_data)
 
@@ -373,5 +374,22 @@ def test_run_cbf_deterministic(tiny_dataset):
     a = run_cbf(cfg)
     b = run_cbf(cfg)
     assert np.array_equal(a.test_pred, b.test_pred)
-    assert np.array_equal(a.model.layer2.cv.per_fold,
-                          b.model.layer2.cv.per_fold)
+    assert np.array_equal(a.record.layer2.cv.per_fold,
+                          b.record.layer2.cv.per_fold)
+
+
+def test_run_cbf_record_is_independent_of_worker_count(tiny_dataset, tiny_run):
+    config, result = tiny_run
+    assert config.workers == 1
+    again = run_cbf(RunConfig.from_dict(tiny_config_dict(tiny_dataset,
+                                                         workers=2)))
+    a, b = result.record, again.record
+    assert len(a.bundles) == len(b.bundles) == 2
+    for ra, rb in zip(a.bundles, b.bundles):
+        # each TrainingLog: per-round valid scores and optimal round
+        assert ra.logs == rb.logs
+        assert np.array_equal(ra.oof_columns, rb.oof_columns)
+    assert np.array_equal(a.layer2.cv.per_fold, b.layer2.cv.per_fold)
+    assert a.layer2.selected_index == b.layer2.selected_index
+    assert ([(f.converged, f.n_iter) for f in a.layer2.fold_models]
+            == [(f.converged, f.n_iter) for f in b.layer2.fold_models])

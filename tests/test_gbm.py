@@ -15,9 +15,9 @@ from cbforest.data import LabelMapping, SparseDataset, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearHyperParams,
                           TrainingError, TreeHyperParams, _Columns,
-                          build_linear_delta, build_tree, export_gbm,
-                          grad_hess, lookup_blocks, predict_gbm, train_gbm)
-from cbforest.metrics import MetricSpec, logloss
+                          build_linear_delta, build_tree, grad_hess,
+                          lookup_blocks, predict_gbm, predict_tree, train_gbm)
+from cbforest.metrics import MetricSpec, logloss, oriented_score
 
 # frozen with an independent high-precision evaluator (mpmath, 30 digits)
 SIGMOID_2 = 0.8807970779778823
@@ -373,14 +373,15 @@ def test_train_gbm_numbers_bushy_trees_breadth_first():
     z = X[:, 0] - X[:, 1] + 0.5 * X[:, 2] * X[:, 3] + g_rng.normal(0, 0.5, 300)
     ds = dataset_from_dense(X, continuous=z)
     mapping = LabelMapping(float(np.median(z)), "greater_is_positive")
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=5, min_child_weight=0.5,
-                                              subsample=0.8),
-                      QUADRATIC, MetricSpec(kind="auc_roc"),
-                      label_mapping=mapping, patience=100, max_rounds=20,
-                      seed=0)
+    model, log = train_gbm(ds, ds, TreeHyperParams(max_depth=5,
+                                                   min_child_weight=0.5,
+                                                   subsample=0.8),
+                           QUADRATIC, MetricSpec(kind="auc_roc"),
+                           label_mapping=mapping, patience=100, max_rounds=20,
+                           seed=0)
     loaded = persistence._gbm_from_dict(
         json.loads(json.dumps(persistence._gbm_to_dict(model))))
-    assert len(loaded.learners) == model.optimal_round > 0
+    assert len(loaded.learners) == log.optimal_round > 0
     for tree in model.learners + loaded.learners:
         _assert_breadth_first(tree)
     # both children of the root split, so depth-first ids would differ
@@ -446,8 +447,8 @@ def test_build_tree_rows_without_values():
                       np.random.default_rng(0))
     assert _root(tree) == (0, 2.0, True)
     model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=0.0,
-                     learning_rate=1.0, learners=[tree], optimal_round=1,
-                     training_log=[], n_cols=1)
+                     learning_rate=1.0, learners=[tree],
+                     n_cols=1)
     assert np.array_equal(predict_gbm(model, ds), [2.0, -2.0, 2.0, -2.0, 2.0])
 
 
@@ -462,8 +463,8 @@ def test_build_tree_stored_zero_is_present(tmp_path):
                       np.random.default_rng(0))
     assert _root(tree) == (0, 0.0, True)
     model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=0.0,
-                     learning_rate=1.0, learners=[tree], optimal_round=1,
-                     training_log=[], n_cols=1)
+                     learning_rate=1.0, learners=[tree],
+                     n_cols=1)
     assert np.array_equal(predict_gbm(model, ds), [1.0, 1.0, -1.0, -1.0])
 
 
@@ -540,11 +541,11 @@ def make_label_equals_feature_data():
 
 def test_train_gbm_learns_perfect_feature():
     ds = make_label_equals_feature_data()
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=1), LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=5, max_rounds=50,
-                      seed=0)
-    assert max(model.training_log) == 1.0
-    assert model.optimal_round <= 10
+    model, log = train_gbm(ds, ds, TreeHyperParams(max_depth=1), LOGISTIC,
+                           MetricSpec(kind="auc_roc"), patience=5,
+                           max_rounds=50, seed=0)
+    assert max(log.scores) == 1.0
+    assert log.optimal_round <= 10
     preds = predict_gbm(model, ds)
     assert ((preds > 0.5) == (ds.binary_labels == 1)).all()
 
@@ -552,10 +553,10 @@ def test_train_gbm_learns_perfect_feature():
 def test_train_gbm_constant_labels_base_score_only():
     X = [[float(i % 2), 1.0] for i in range(8)]
     ds = dataset_from_dense(X, binary=[1] * 8)
-    model = train_gbm(ds, ds, TreeHyperParams(gamma=0.5), LOGISTIC,
-                      MetricSpec(kind="logloss"), patience=5, max_rounds=50,
-                      seed=0)
-    assert model.optimal_round == 0
+    model, log = train_gbm(ds, ds, TreeHyperParams(gamma=0.5), LOGISTIC,
+                           MetricSpec(kind="logloss"), patience=5,
+                           max_rounds=50, seed=0)
+    assert log.optimal_round == 0 and model.learners == []
     assert np.allclose(predict_gbm(model, ds), 0.5)
 
 
@@ -563,9 +564,32 @@ def test_train_gbm_deterministic():
     ds = make_label_equals_feature_data()
     kwargs = dict(patience=5, max_rounds=30, seed=123)
     params = TreeHyperParams(max_depth=2, subsample=0.75, colsample_bytree=0.6)
-    a = train_gbm(ds, ds, params, LOGISTIC, MetricSpec(kind="auc_roc"), **kwargs)
-    b = train_gbm(ds, ds, params, LOGISTIC, MetricSpec(kind="auc_roc"), **kwargs)
-    assert a.training_log == b.training_log
+    _, a = train_gbm(ds, ds, params, LOGISTIC, MetricSpec(kind="auc_roc"),
+                     **kwargs)
+    _, b = train_gbm(ds, ds, params, LOGISTIC, MetricSpec(kind="auc_roc"),
+                     **kwargs)
+    assert a == b
+
+
+def _boosted_raw_scores(ds, y, loss, params, base, rounds):
+    """Raw training scores after each of `rounds` boosting rounds, index 0
+    for the base score alone, built from `grad_hess` and `build_tree` as
+    `train_gbm` builds them (no subsample, so no row draws)."""
+    rng = np.random.default_rng(0)
+    raws = [np.full(ds.n_rows, base)]
+    for _ in range(rounds):
+        g, h = grad_hess(loss, y, raws[-1])
+        tree = build_tree(g, h, ds, params, rng)
+        raws.append(raws[-1] + params.learning_rate * predict_tree(tree, ds))
+    return raws
+
+
+def _assert_prefixes_score(model, ds, raws, loss):
+    """The model's first t trees predict `raws[t]` bit for bit."""
+    for t in range(len(model.learners) + 1):
+        prefix = dataclasses.replace(model, learners=model.learners[:t])
+        expected = expit(raws[t]) if loss == LOGISTIC else raws[t]
+        assert np.array_equal(predict_gbm(prefix, ds), expected), t
 
 
 def test_train_gbm_monotone_training_loss_logistic():
@@ -574,12 +598,15 @@ def test_train_gbm_monotone_training_loss_logistic():
     y = ((X[:, 0] + X[:, 1] + g_rng.normal(0, 0.3, 120)) > 0.8).astype(int)
     y[0], y[1] = 1, 0
     ds = dataset_from_dense(X, binary=y)
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=3, learning_rate=0.1),
-                      LOGISTIC, MetricSpec(kind="auc_roc"), patience=10,
-                      max_rounds=40, seed=0)
-    losses = [logloss(predict_gbm(model, ds, rounds=t), y)
-              for t in range(len(model.learners) + 1)]
+    params = TreeHyperParams(max_depth=3, learning_rate=0.1)
+    raws = _boosted_raw_scores(ds, y, LOGISTIC, params, 0.0, 40)
+    losses = [logloss(expit(raw), y) for raw in raws]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+    model, log = train_gbm(ds, ds, params, LOGISTIC,
+                           MetricSpec(kind="auc_roc"), patience=10,
+                           max_rounds=40, seed=0)
+    assert len(model.learners) == log.optimal_round > 0
+    _assert_prefixes_score(model, ds, raws, LOGISTIC)
 
 
 def test_train_gbm_monotone_training_loss_quadratic():
@@ -588,21 +615,24 @@ def test_train_gbm_monotone_training_loss_quadratic():
     z = X[:, 0] * 2 - X[:, 1] + g_rng.normal(0, 0.2, 120)
     ds = dataset_from_dense(X, continuous=z)
     mapping = LabelMapping(float(np.median(z)), "greater_is_positive")
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=3, learning_rate=0.1),
-                      QUADRATIC, MetricSpec(kind="auc_roc"),
-                      label_mapping=mapping, patience=10, max_rounds=40, seed=0)
-    sq = [float(((predict_gbm(model, ds, rounds=t) - z) ** 2).sum())
-          for t in range(len(model.learners) + 1)]
+    params = TreeHyperParams(max_depth=3, learning_rate=0.1)
+    raws = _boosted_raw_scores(ds, z, QUADRATIC, params, float(z.mean()), 40)
+    sq = [float(((raw - z) ** 2).sum()) for raw in raws]
     assert all(b <= a + 1e-9 for a, b in zip(sq, sq[1:]))
+    model, log = train_gbm(ds, ds, params, QUADRATIC,
+                           MetricSpec(kind="auc_roc"), label_mapping=mapping,
+                           patience=10, max_rounds=40, seed=0)
+    assert len(model.learners) == log.optimal_round > 0
+    _assert_prefixes_score(model, ds, raws, QUADRATIC)
 
 
 def test_train_gbm_gblinear_learns():
     ds = make_label_equals_feature_data()
-    model = train_gbm(ds, ds, LinearHyperParams(learning_rate=0.5), LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=5, max_rounds=50,
-                      seed=0)
+    model, log = train_gbm(ds, ds, LinearHyperParams(learning_rate=0.5),
+                           LOGISTIC, MetricSpec(kind="auc_roc"), patience=5,
+                           max_rounds=50, seed=0)
     assert model.booster == GBLINEAR
-    assert max(model.training_log) == 1.0
+    assert max(log.scores) == 1.0
 
 
 def test_train_gbm_quadratic_regression_with_binarized_stop():
@@ -611,11 +641,11 @@ def test_train_gbm_quadratic_regression_with_binarized_stop():
     z = 3 * X[:, 0] + g_rng.normal(0, 0.1, 60)
     ds = dataset_from_dense(X, continuous=z)
     mapping = LabelMapping(1.5, "greater_is_positive")
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=2), QUADRATIC,
-                      MetricSpec(kind="auc_roc"), label_mapping=mapping,
-                      patience=5, max_rounds=40, seed=0)
+    model, log = train_gbm(ds, ds, TreeHyperParams(max_depth=2), QUADRATIC,
+                           MetricSpec(kind="auc_roc"), label_mapping=mapping,
+                           patience=5, max_rounds=40, seed=0)
     assert model.loss == QUADRATIC
-    assert max(model.training_log) > 0.9
+    assert max(log.scores) > 0.9
 
 
 def test_train_gbm_requires_mapping_for_continuous_ranking_stop():
@@ -637,58 +667,75 @@ def test_train_gbm_column_mismatch():
 
 def test_predict_zero_learners_logistic():
     model = GbmModel(booster=GBTREE, loss=LOGISTIC, base_score=0.0,
-                     learning_rate=0.1, learners=[], optimal_round=0,
-                     training_log=[], n_cols=2)
+                     learning_rate=0.1, learners=[],
+                     n_cols=2)
     ds = dataset_from_dense([[1.0, 0.0], [0.0, 1.0]], binary=[1, 0])
     assert np.array_equal(predict_gbm(model, ds), [0.5, 0.5])
 
 
 def test_predict_zero_learners_quadratic_returns_base():
     model = GbmModel(booster=GBTREE, loss=QUADRATIC, base_score=2.5,
-                     learning_rate=0.1, learners=[], optimal_round=0,
-                     training_log=[], n_cols=1)
+                     learning_rate=0.1, learners=[],
+                     n_cols=1)
     ds = dataset_from_dense([[1.0]], continuous=[0.0])
     assert np.array_equal(predict_gbm(model, ds), [2.5])
 
 
+def _split_rows():
+    """100 training and 60 held-out rows of one noisy binary problem."""
+    g_rng = np.random.default_rng(12)
+    X = (g_rng.random((160, 8)) < 0.4) * g_rng.integers(1, 4, (160, 8))
+    y = ((X[:, 0] - X[:, 1] + g_rng.normal(0, 0.5, 160)) > 0.5).astype(int)
+    return (dataset_from_dense(X[:100], binary=y[:100]),
+            dataset_from_dense(X[100:], binary=y[100:]))
+
+
 def test_predict_truncation_matches_discarding_learners():
-    ds = make_label_equals_feature_data()
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=2), LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=3, max_rounds=20,
-                      seed=0)
-    r = model.optimal_round
-    truncated = GbmModel(booster=model.booster, loss=model.loss,
-                         base_score=model.base_score,
-                         learning_rate=model.learning_rate,
-                         learners=model.learners[:r], optimal_round=r,
-                         training_log=model.training_log[:r + 1],
-                         n_cols=model.n_cols)
-    assert np.array_equal(predict_gbm(model, ds), predict_gbm(truncated, ds))
+    """The model cut at the optimal round is the one a run stopped there
+    returns: the rounds past the optimum leave no trace."""
+    train, valid = _split_rows()
+    kw = dict(patience=5, seed=0)
+    args = (train, valid, TreeHyperParams(max_depth=3), LOGISTIC,
+            MetricSpec(kind="auc_roc"))
+    model, log = train_gbm(*args, max_rounds=200, **kw)
+    r = log.optimal_round
+    assert 0 < r < len(log.scores) - 1
+    short, short_log = train_gbm(*args, max_rounds=r, **kw)
+    assert short_log.scores == log.scores[:r + 1]
+    assert short_log.optimal_round == r
+    assert len(short.learners) == len(model.learners) == r
+    for ds in (train, valid):
+        assert np.array_equal(predict_gbm(short, ds), predict_gbm(model, ds))
 
 
 @pytest.mark.parametrize("booster", [GBTREE, GBLINEAR])
 @pytest.mark.parametrize("cut", ["zero", "mid", "last"])
-def test_export_predicts_like_the_trained_model(booster, cut):
-    g_rng = np.random.default_rng(12)
-    X = (g_rng.random((160, 8)) < 0.4) * g_rng.integers(1, 4, (160, 8))
-    y = ((X[:, 0] - X[:, 1] + g_rng.normal(0, 0.5, 160)) > 0.5).astype(int)
-    train = dataset_from_dense(X[:100], binary=y[:100])
-    new = dataset_from_dense(X[100:], binary=y[100:])
+def test_cut_model_scores_its_logged_optimum(booster, cut):
+    """The returned model's stopping score on the valid split is the logged
+    score at the optimal round: bit for bit for trees, up to the rounding
+    of summing the gblinear deltas into one. The optimum falls at round 0
+    (the valid labels are flipped), between the ends (patience stops the
+    run) or at the last round (the training loss on the training rows)."""
+    train, valid = _split_rows()
+    stop = MetricSpec(kind="auc_roc")
+    kw = dict(patience=5, max_rounds=200)
+    if cut == "zero":
+        valid.binary_labels = 1 - valid.binary_labels
+    elif cut == "last":
+        valid, stop = train, MetricSpec(kind="logloss")
+        kw = dict(patience=100, max_rounds=8)
     params = (TreeHyperParams(max_depth=3) if booster == GBTREE
               else LinearHyperParams(learning_rate=0.3))
-    model = train_gbm(train, train, params, LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=100, max_rounds=12,
-                      seed=0)
-    n = len(model.learners)
-    assert n == 12
-    r = {"zero": 0, "mid": n // 2, "last": n}[cut]
-    model = dataclasses.replace(model, optimal_round=r)
-    exported = export_gbm(model)
-    kept = r if booster == GBTREE else min(r, 1)
-    assert len(exported.learners) == exported.optimal_round == kept
-    assert exported.training_log is None
-    for ds in (train, new):
-        assert np.array_equal(predict_gbm(exported, ds), predict_gbm(model, ds))
+    model, log = train_gbm(train, valid, params, LOGISTIC, stop, seed=0, **kw)
+    r, trained = log.optimal_round, len(log.scores) - 1
+    assert {"zero": r == 0, "mid": 0 < r < trained,
+            "last": r == trained == kw["max_rounds"]}[cut]
+    assert len(model.learners) == (r if booster == GBTREE else min(r, 1))
+    score = oriented_score(stop, predict_gbm(model, valid), valid.binary_labels)
+    if booster == GBTREE:
+        assert score == log.scores[r]
+    else:
+        assert score == pytest.approx(log.scores[r], rel=1e-12, abs=1e-12)
 
 
 def _flat(nested):
@@ -751,21 +798,20 @@ def test_predict_gbm_matches_tree_walk_oracle():
         ds = SparseDataset.from_rows([sorted(row.items()) for row in rows],
                                      n_cols=n_cols)
         loss = LOGISTIC if case % 2 else QUADRATIC
-        model = GbmModel(booster=GBTREE, loss=loss,
-                         base_score=float(r.normal()),
-                         learning_rate=float(r.choice([0.1, 0.3, 1.0])),
-                         learners=[_flat(t) for t in trees],
-                         optimal_round=len(trees), training_log=[],
-                         n_cols=n_cols)
-        for rounds in (None, len(trees) // 2, 0):
-            cut = trees[:len(trees) if rounds is None else rounds]
-            raw = np.array(boosted_trees_oracle(cut, rows, model.base_score,
-                                                model.learning_rate))
+        base_score = float(r.normal())
+        learning_rate = float(r.choice([0.1, 0.3, 1.0]))
+        for rounds in (len(trees), len(trees) // 2, 0):
+            cut = trees[:rounds]
+            model = GbmModel(booster=GBTREE, loss=loss, base_score=base_score,
+                             learning_rate=learning_rate,
+                             learners=[_flat(t) for t in cut], n_cols=n_cols)
+            raw = np.array(boosted_trees_oracle(cut, rows, base_score,
+                                                learning_rate))
             expected = expit(raw) if loss == LOGISTIC else raw
-            assert np.array_equal(predict_gbm(model, ds, rounds=rounds),
-                                  expected), f"case {case}, rounds {rounds}"
+            assert np.array_equal(predict_gbm(model, ds), expected), \
+                f"case {case}, rounds {rounds}"
             shared = np.concatenate([
-                predict_gbm(model, lookup, rounds=rounds)
+                predict_gbm(model, lookup)
                 for lookup in lookup_blocks(ds, np.arange(n_cols))])
             assert np.array_equal(shared, expected)
 
@@ -780,10 +826,9 @@ def test_predict_gbm_rows_one_at_a_time_equal_the_batch(booster):
     train = ds.subset(np.arange(200))
     params = (TreeHyperParams(max_depth=4) if booster == GBTREE
               else LinearHyperParams(learning_rate=0.3))
-    model = train_gbm(train, train, params, LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=100, max_rounds=15,
-                      seed=0)
-    model = dataclasses.replace(model, optimal_round=len(model.learners))
+    model, _ = train_gbm(train, train, params, LOGISTIC,
+                         MetricSpec(kind="auc_roc"), patience=100,
+                         max_rounds=15, seed=0)
     batch = predict_gbm(model, ds)
     one_by_one = [predict_gbm(model, ds.subset([i]))[0] for i in range(n)]
     assert np.array_equal(one_by_one, batch)
@@ -791,9 +836,9 @@ def test_predict_gbm_rows_one_at_a_time_equal_the_batch(booster):
 
 def test_predict_column_mismatch():
     ds = make_label_equals_feature_data()
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=1), LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=3, max_rounds=10,
-                      seed=0)
+    model, _ = train_gbm(ds, ds, TreeHyperParams(max_depth=1), LOGISTIC,
+                         MetricSpec(kind="auc_roc"), patience=3, max_rounds=10,
+                         seed=0)
     wrong = dataset_from_dense([[1.0]], binary=[1])
     with pytest.raises(Exception):
         predict_gbm(model, wrong)
@@ -801,8 +846,8 @@ def test_predict_column_mismatch():
 
 def test_logistic_outputs_in_open_unit_interval():
     ds = make_label_equals_feature_data()
-    model = train_gbm(ds, ds, TreeHyperParams(max_depth=2), LOGISTIC,
-                      MetricSpec(kind="auc_roc"), patience=3, max_rounds=30,
-                      seed=0)
+    model, _ = train_gbm(ds, ds, TreeHyperParams(max_depth=2), LOGISTIC,
+                         MetricSpec(kind="auc_roc"), patience=3, max_rounds=30,
+                         seed=0)
     p = predict_gbm(model, ds)
     assert (p > 0.0).all() and (p < 1.0).all()
