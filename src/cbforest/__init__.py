@@ -12,11 +12,11 @@ from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
                    binarize, load_csv, load_svmlight, stratified_kfold)
 from .elastic_net import (ElasticNetModel, ElasticNetParams, fit_elastic_net,
                           predict_proba)
-from .ensemble import (CbfModel, CvScore, HyperParamSample, Layer1Bundle,
-                       Layer1Record, Layer2Data, Layer2Selection, RunResult,
-                       TrainingRecord, assemble_md, layer1_cv, predict_cbf,
-                       run_cbf, sample_hyperparams, sample_layer2_params,
-                       train_layer1, train_layer2)
+from .ensemble import (CbfModel, CvScore, Layer1Bundle, Layer1Record,
+                       Layer2Data, Layer2Selection, RunResult, TrainingRecord,
+                       assemble_md, layer1_cv, predict_cbf, run_cbf,
+                       sample_hyperparams, sample_layer2_params, train_layer1,
+                       train_layer2)
 from .gbm import (DecisionTree, GbmModel, LinearDelta, LinearHyperParams,
                   TrainingError, TrainingLog, TreeHyperParams,
                   build_linear_delta, build_tree, grad_hess, predict_gbm,

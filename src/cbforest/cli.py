@@ -125,8 +125,12 @@ def cmd_predict(args):
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    _write_tsv(args.output, ["row_id", "probability"],
-               [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
+    try:
+        _write_tsv(args.output, ["row_id", "probability"],
+                   [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return 0
 
 

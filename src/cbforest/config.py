@@ -276,6 +276,9 @@ class RunConfig:
             raise ConfigError(f"train_path does not exist: {self.train_path}")
         if self.test_path is not None and not Path(self.test_path).exists():
             raise ConfigError(f"test_path does not exist: {self.test_path}")
+        out = Path(self.output_dir)
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigError(f"output_dir is not a directory: {out}")
 
     def to_dict(self):
         """JSON-serializable snapshot, sufficient to re-run identically."""

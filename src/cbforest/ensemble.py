@@ -4,7 +4,7 @@ elastic-net candidate sweep, and two-stage prediction."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,16 +36,10 @@ def _draw_unseen(rng, ranges, make, seen, what):
                       "sampling ranges are too narrow")
 
 
-@dataclass(frozen=True)
-class HyperParamSample:
-    index: int
-    booster: str
-    params: object  # TreeHyperParams | LinearHyperParams
-
-
 def sample_hyperparams(H, seed, booster_mix="alternate",
                        ranges=None) -> list:
-    """Draw H pairwise-distinct hyper-parameter samples.
+    """Draw H pairwise-distinct hyper-parameter objects: `TreeHyperParams`
+    for a gbtree sample, `LinearHyperParams` for a gblinear one.
 
     The default mix alternates gbtree/gblinear starting with gbtree; the
     draw sequence is deterministic for a fixed seed.
@@ -63,9 +57,8 @@ def sample_hyperparams(H, seed, booster_mix="alternate",
             booster = booster_mix
         group, make = (("tree", TreeHyperParams) if booster == GBTREE
                        else ("linear", LinearHyperParams))
-        params = _draw_unseen(rng, merged[group], make, seen,
-                              "hyper-parameter sample")
-        samples.append(HyperParamSample(index=i, booster=booster, params=params))
+        samples.append(_draw_unseen(rng, merged[group], make, seen,
+                                    "hyper-parameter sample"))
     return samples
 
 
@@ -87,52 +80,63 @@ class Layer1Record:
     """
 
     label_kind: str
-    samples: list
+    samples: list         # [h] -> TreeHyperParams | LinearHyperParams
     logs: list            # [h][k] -> TrainingLog
     oof_columns: np.ndarray
 
 
 def _fit_layer1_task(args):
-    (train_ds, valid_ds, params, loss, stop_metric, mapping, patience,
-     max_rounds, seed) = args
+    (train_ds, valid_ds, params, loss, stop_metric, patience, max_rounds,
+     seed) = args
     model, log = train_gbm(train_ds, valid_ds, params, loss, stop_metric,
-                           label_mapping=mapping, patience=patience,
-                           max_rounds=max_rounds, seed=seed)
-    return model, log, predict_gbm(model, valid_ds)
+                           patience=patience, max_rounds=max_rounds, seed=seed)
+    preds = predict_gbm(model, valid_ds)
+    # the copy drops the forest the walk cached, which would double what a
+    # pool worker sends back; the first walk in the caller builds it again
+    return replace(model), log, preds
 
 
-def train_layer1(dataset: SparseDataset, label_kind, folds: FoldAssignment,
-                 samples, stop_metric: MetricSpec, *, label_mapping=None,
-                 patience=100, max_rounds=2000, master_seed=0, bundle_tag=0,
-                 workers=1):
-    """Train the HxK grid of base models and assemble out-of-fold columns;
-    returns the `Layer1Bundle` and its `Layer1Record`.
+def train_layer1(dataset: SparseDataset, kinds, folds: FoldAssignment,
+                 samples, stop_metric: MetricSpec, *, patience=100,
+                 max_rounds=2000, master_seed=0, workers=1):
+    """Train the H x K grid of base models of each label kind in `kinds`,
+    binary labels by logistic loss and continuous ones by quadratic loss;
+    returns their `Layer1Bundle`s and `Layer1Record`s, in `kinds` order.
 
-    Each (h, k) model derives its seed from (master_seed, bundle_tag, h, k),
-    so results are independent of worker count and schedule.
+    Model (kind, h, k) fits `samples[h]` with fold k held out. All models
+    are one task list in (kind, h, k) order, run in one process pool when
+    `workers > 1`. Each derives its seed from (master_seed, position of its
+    kind in `kinds`, h, k), so results are independent of worker count and
+    schedule.
     """
-    loss = LOGISTIC if label_kind == "binary" else QUADRATIC
-    K = folds.K
+    K, H = folds.K, len(samples)
     subsets = [(dataset.subset(folds.train_rows(k)),
                 dataset.subset(folds.valid_rows(k))) for k in range(K)]
-    tasks = [(*subsets[k], sample.params, loss, stop_metric, label_mapping,
-              patience, max_rounds, derive_seed(master_seed, bundle_tag, h, k))
-             for h, sample in enumerate(samples) for k in range(K)]
+    tasks = [(*subsets[k], params, LOGISTIC if kind == "binary" else QUADRATIC,
+              stop_metric, patience, max_rounds,
+              derive_seed(master_seed, tag, h, k))
+             for tag, kind in enumerate(kinds)
+             for h, params in enumerate(samples) for k in range(K)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_layer1_task, tasks, chunksize=1))
     else:
         results = [_fit_layer1_task(t) for t in tasks]
-    # results come in task order, K folds per h
-    oof = np.empty((dataset.n_rows, len(samples)))
-    for i, (_, _, preds) in enumerate(results):
-        oof[folds.valid_rows(i % K), i // K] = preds
-    grid = [results[i:i + K] for i in range(0, len(results), K)]
-    return (Layer1Bundle(label_kind=label_kind,
-                         models=[[r[0] for r in row] for row in grid]),
-            Layer1Record(label_kind=label_kind, samples=list(samples),
-                         logs=[[r[1] for r in row] for row in grid],
-                         oof_columns=oof))
+    # results come in task order, K folds per (kind, h)
+    rows = [results[i:i + K] for i in range(0, len(results), K)]
+    bundles, records = [], []
+    for tag, kind in enumerate(kinds):
+        grid = rows[tag * H:(tag + 1) * H]
+        oof = np.empty((dataset.n_rows, H))
+        for h, row in enumerate(grid):
+            for k, (_, _, preds) in enumerate(row):
+                oof[folds.valid_rows(k), h] = preds
+        bundles.append(Layer1Bundle(
+            label_kind=kind, models=[[r[0] for r in row] for row in grid]))
+        records.append(Layer1Record(label_kind=kind, samples=list(samples),
+                                    logs=[[r[1] for r in row] for row in grid],
+                                    oof_columns=oof))
+    return bundles, records
 
 
 @dataclass
@@ -373,7 +377,6 @@ def run_cbf(config: RunConfig) -> RunResult:
     candidates = sample_layer2_params(config.H, derive_seed(config.seed, 4),
                                       config.sampling_ranges)
     label_cfg = config.label
-    mapping = label_cfg.mapping
     full = load_run_dataset(config.train_path, label_cfg)
 
     if config.test_path is not None:
@@ -386,18 +389,12 @@ def run_cbf(config: RunConfig) -> RunResult:
 
     folds = stratified_kfold(train.binary_labels, config.K,
                              derive_seed(config.seed, 1))
-    workers = config.effective_workers()
 
-    bundles, records = [], []
-    for tag, kind in enumerate(k for k in ("binary", "continuous")
-                               if k in label_cfg.kinds):
-        bundle, rec = train_layer1(
-            train, kind, folds, samples, config.stop_metric,
-            label_mapping=mapping, patience=config.patience,
-            max_rounds=config.max_rounds, master_seed=config.seed,
-            bundle_tag=tag, workers=workers)
-        bundles.append(bundle)
-        records.append(rec)
+    bundles, records = train_layer1(
+        train, [k for k in ("binary", "continuous") if k in label_cfg.kinds],
+        folds, samples, config.stop_metric, patience=config.patience,
+        max_rounds=config.max_rounds, master_seed=config.seed,
+        workers=config.effective_workers())
 
     md = assemble_md(records, train.binary_labels)
     sel = train_layer2(md, folds, candidates, config.selection_metric,
@@ -406,8 +403,9 @@ def run_cbf(config: RunConfig) -> RunResult:
     model = CbfModel(bundles=bundles,
                      layer2_betas=[m.beta for m in sel.fold_models],
                      column_order=md.columns)
-    record = TrainingRecord(folds=folds, label_mapping=mapping, H=config.H,
-                            seed=config.seed, bundles=records, layer2=sel)
+    record = TrainingRecord(folds=folds, label_mapping=label_cfg.mapping,
+                            H=config.H, seed=config.seed, bundles=records,
+                            layer2=sel)
 
     train_pred = predict_cbf(model, train)
     valid_pred = np.empty(train.n_rows)

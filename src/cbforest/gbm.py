@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import DataError, LabelMapping, SparseDataset, binarize
+from .data import DataError, SparseDataset
 from .metrics import MetricError, MetricSpec, oriented_score
 
 LOGISTIC = "logistic"
@@ -621,24 +621,15 @@ def predict_tree(tree: DecisionTree, data) -> np.ndarray:
                            for lk in _lookups(data, forest.features)])
 
 
-def _metric_labels(dataset, loss, label_mapping):
-    if loss == LOGISTIC:
-        if dataset.binary_labels is None:
-            raise TrainingError("logistic loss requires binary labels")
-        return dataset.binary_labels
-    if dataset.continuous_labels is None:
-        raise TrainingError("quadratic loss requires continuous labels")
-    if label_mapping is None:
-        raise TrainingError(
-            "a label mapping is required to evaluate a ranking metric "
-            "on a continuous-label dataset")
-    return binarize(dataset.continuous_labels, label_mapping)
-
-
 def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
-              stop_metric: MetricSpec, *, label_mapping: LabelMapping = None,
-              patience=100, max_rounds=2000, seed=0):
+              stop_metric: MetricSpec, *, patience=100, max_rounds=2000,
+              seed=0):
     """Boost until the valid metric stops improving for `patience` rounds.
+
+    The logistic loss fits the train split's binary labels, the quadratic
+    loss its continuous labels. The stopping metric ranks the valid split's
+    binary labels whatever the loss, so a quadratic-loss caller sets them,
+    as `load_run_dataset` does by binarizing the continuous labels.
 
     Returns the model cut at the optimal round and the run's `TrainingLog`.
     A cut gbtree model scores the valid rows bit for bit as boosting did at
@@ -661,7 +652,9 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
         base = float(y.mean())
     else:
         raise TrainingError(f"unknown loss {loss!r}")
-    valid_mlab = _metric_labels(valid, loss, label_mapping)
+    if valid.binary_labels is None:
+        raise TrainingError("the stopping metric requires the valid split's "
+                            "binary labels")
 
     rng = np.random.default_rng(seed)
     if booster == GBTREE:
@@ -678,7 +671,7 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
     def score(raw):
         s = expit(raw) if loss == LOGISTIC else raw
         try:
-            return oriented_score(stop_metric, s, valid_mlab)
+            return oriented_score(stop_metric, s, valid.binary_labels)
         except MetricError as e:
             raise TrainingError(f"stopping metric failed: {e}") from e
 

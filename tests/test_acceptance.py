@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cbforest.config import RunConfig
-from cbforest.data import LabelMapping, stratified_kfold
+from cbforest.data import stratified_kfold
 from cbforest.elastic_net import (ElasticNetParams, fit_elastic_net,
                                   predict_proba, smooth_gradient,
                                   smooth_objective)
@@ -131,19 +131,16 @@ def test_criterion_2_gradient_finite_differences():
 def test_criterion_3_stacking_structure(tmp_path):
     t0 = time.time()
     path = tmp_path / "stack.svm"
-    ds, thr = write_synthetic(str(path), n=2000, n_features=96, pos_rate=0.05,
-                              signal=16, seed=7)
-    mapping = LabelMapping(thr, "greater_is_positive")
+    ds, _ = write_synthetic(str(path), n=2000, n_features=96, pos_rate=0.05,
+                            signal=16, seed=7)
     K, H = 5, 2
     folds = stratified_kfold(ds.binary_labels, K, derive_seed(7, 1))
     samples = sample_hyperparams(H, derive_seed(7, 2))
-    stop = MetricSpec(kind="auc_roc")
-    trained = [
-        train_layer1(ds, kind, folds, samples, stop, label_mapping=mapping,
-                     patience=10, max_rounds=40, master_seed=7, bundle_tag=tag)
-        for tag, kind in enumerate(("binary", "continuous"))
-    ]
-    md = assemble_md([rec for _, rec in trained], ds.binary_labels)
+    bundles, records = train_layer1(
+        ds, ["binary", "continuous"], folds, samples,
+        MetricSpec(kind="auc_roc"), patience=10, max_rounds=40, master_seed=7)
+    trained = list(zip(bundles, records))
+    md = assemble_md(records, ds.binary_labels)
 
     width_ok = md.X.shape == (2000, 2 * H)
     order_ok = [c[0] for c in md.columns] == ["binary"] * H + ["continuous"] * H
@@ -207,19 +204,14 @@ def test_criterion_4_calibration_improvement(tmp_path):
 def _dual_label_trial(tmp_path, seed):
     """Test AUC-PRC of a dual-label vs binary-only stack sharing layer 1."""
     path = tmp_path / f"dual{seed}.svm"
-    ds, thr = write_synthetic(str(path), n=3000, n_features=96, pos_rate=0.05,
-                              signal=16, seed=100 + seed, noise=2.5)
-    mapping = LabelMapping(thr, "greater_is_positive")
+    ds, _ = write_synthetic(str(path), n=3000, n_features=96, pos_rate=0.05,
+                            signal=16, seed=100 + seed, noise=2.5)
     train, test = _split_test(ds, 0.2, seed)
     folds = stratified_kfold(train.binary_labels, 3, derive_seed(seed, 1))
     samples = sample_hyperparams(1, derive_seed(seed, 2))
-    stop = MetricSpec(kind="auc_roc")
-    kw = dict(label_mapping=mapping, patience=25, max_rounds=100,
-              master_seed=seed)
-    bb = train_layer1(train, "binary", folds, samples, stop,
-                      bundle_tag=0, **kw)
-    cb = train_layer1(train, "continuous", folds, samples, stop,
-                      bundle_tag=1, **kw)
+    bb, cb = zip(*train_layer1(train, ["binary", "continuous"], folds, samples,
+                               MetricSpec(kind="auc_roc"), patience=25,
+                               max_rounds=100, master_seed=seed))
     out = {}
     for name, trained in (("both", [bb, cb]), ("binary", [bb])):
         md = assemble_md([rec for _, rec in trained], train.binary_labels)
@@ -262,16 +254,14 @@ def _subset_bundle(b, rec, h):
 
 def _h_scaling_trial(tmp_path, seed):
     path = tmp_path / f"scale{seed}.svm"
-    ds, thr = write_synthetic(str(path), n=2000, n_features=96, pos_rate=0.05,
-                              signal=16, seed=200 + seed, noise=1.5)
-    mapping = LabelMapping(thr, "greater_is_positive")
+    ds, _ = write_synthetic(str(path), n=2000, n_features=96, pos_rate=0.05,
+                            signal=16, seed=200 + seed, noise=1.5)
     train, test = _split_test(ds, 0.2, seed)
     folds = stratified_kfold(train.binary_labels, 3, derive_seed(seed, 1))
     samples = sample_hyperparams(10, derive_seed(seed, 2))
-    bb, rec = train_layer1(train, "binary", folds, samples,
-                           MetricSpec(kind="auc_roc"), label_mapping=mapping,
-                           patience=20, max_rounds=80, master_seed=seed,
-                           bundle_tag=0)
+    [bb], [rec] = train_layer1(train, ["binary"], folds, samples,
+                               MetricSpec(kind="auc_roc"), patience=20,
+                               max_rounds=80, master_seed=seed)
     sel_metric = MetricSpec(kind="auc_prc")
     cv = layer1_cv(rec, folds, train.binary_labels, sel_metric)
     out, gbm_ap = {}, {}

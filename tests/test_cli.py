@@ -681,6 +681,26 @@ def test_train_rejects_a_bad_config_value_at_load(
     assert "Traceback" not in err
 
 
+def test_train_rejects_an_output_dir_that_is_a_file(tiny_dataset, tmp_path,
+                                                   capsys, monkeypatch):
+    """An output_dir that names a file, or lies under one, is a config error
+    found before any data is read."""
+    def no_training(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("cbforest.cli.run_cbf", no_training)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "sub"):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict(
+            tiny_dataset, output_dir=str(out))))
+        assert run_cli(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: output_dir is not a directory: {out}\n"
+    assert taken.read_text() == "not a directory"
+
+
 def test_train_invalid_json_exits_one(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{not json")
@@ -744,6 +764,19 @@ def test_predict_unreadable_input_exits_two(cli_train, tmp_path, capsys):
 
 
 # ------------------------------------------------------------ cmd_predict
+
+def test_predict_unwritable_output_exits_one(cli_train, tiny_dataset,
+                                             tmp_path, capsys):
+    _, out, _ = cli_train
+    for path in (tmp_path / "missing" / "scores.tsv", tmp_path):
+        assert run_cli(["predict", "--model", str(out / "model.cbf"),
+                        "--input", tiny_dataset["path"],
+                        "--output", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert str(path) in err and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
 
 def test_predict_contract(cli_train, tiny_dataset, tmp_path):
     _, out, _ = cli_train

@@ -1,12 +1,13 @@
 """Stacking pipeline tests: sampling, layer-1 grids, MD assembly, layer-2."""
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from cbforest import ensemble
 from cbforest.config import ConfigError, RunConfig
-from cbforest.data import (DataError, LabelMapping, SparseDataset,
+from cbforest.data import (DataError, LabelMapping, SparseDataset, binarize,
                            stratified_kfold)
 from cbforest.elastic_net import predict_proba
 from cbforest.ensemble import (CbfModel, CvScore, Layer1Bundle, Layer1Record,
@@ -14,8 +15,9 @@ from cbforest.ensemble import (CbfModel, CvScore, Layer1Bundle, Layer1Record,
                                layer1_feature_matrix, predict_cbf, run_cbf,
                                sample_hyperparams, sample_layer2_params,
                                train_layer1, train_layer2)
-from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, QUADRATIC, GbmModel,
-                          LinearHyperParams, TreeHyperParams, predict_gbm)
+from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
+                          GbmModel, LinearHyperParams, TreeHyperParams,
+                          predict_gbm, train_gbm)
 from cbforest.metrics import MetricSpec, logloss
 
 from conftest import tiny_config_dict
@@ -40,20 +42,18 @@ def test_sample_hyperparams_deterministic_and_distinct():
     a = sample_hyperparams(3, seed=5)
     b = sample_hyperparams(3, seed=5)
     assert a == b
-    keys = {(s.booster, s.params) for s in a}
-    assert len(keys) == 3
+    assert len(set(a)) == 3
 
 
 def test_sample_hyperparams_alternate_mix():
     samples = sample_hyperparams(4, seed=2)
-    assert [s.booster for s in samples] == [GBTREE, GBLINEAR, GBTREE, GBLINEAR]
-    assert isinstance(samples[0].params, TreeHyperParams)
-    assert isinstance(samples[1].params, LinearHyperParams)
+    assert [type(s) for s in samples] == [TreeHyperParams, LinearHyperParams,
+                                          TreeHyperParams, LinearHyperParams]
 
 
 def test_sample_hyperparams_single_sample_is_gbtree():
     samples = sample_hyperparams(1, seed=9)
-    assert samples[0].booster == GBTREE
+    assert isinstance(samples[0], TreeHyperParams)
 
 
 def test_sample_hyperparams_seed_sensitivity():
@@ -61,21 +61,21 @@ def test_sample_hyperparams_seed_sensitivity():
 
 
 def test_sample_hyperparams_fixed_booster_mix():
-    samples = sample_hyperparams(3, seed=0, booster_mix="gblinear")
-    assert all(s.booster == GBLINEAR for s in samples)
+    samples = sample_hyperparams(3, seed=0, booster_mix=GBLINEAR)
+    assert all(isinstance(s, LinearHyperParams) for s in samples)
 
 
 def test_sample_hyperparams_ranges_within_bounds():
-    for s in sample_hyperparams(20, seed=3):
-        if s.booster == GBTREE:
-            p = s.params
+    for p in sample_hyperparams(20, seed=3):
+        if isinstance(p, TreeHyperParams):
             assert 0.01 <= p.learning_rate <= 0.3
             assert 3 <= p.max_depth <= 10
             assert 0.5 <= p.subsample <= 1.0
             assert 0.1 <= p.reg_lambda <= 100.0
             assert p.gamma == 0.0 or 1e-3 <= p.gamma <= 10.0
         else:
-            assert 1e-3 <= s.params.reg_lambda <= 100.0
+            assert isinstance(p, LinearHyperParams)
+            assert 1e-3 <= p.reg_lambda <= 100.0
 
 
 def test_sample_hyperparams_rejects_bad_input():
@@ -100,9 +100,9 @@ def small_layer1():
     ds = make_binary_dataset(n=160, seed=4)
     folds = stratified_kfold(ds.binary_labels, 2, seed=0)
     samples = sample_hyperparams(1, seed=7)
-    bundle, record = train_layer1(ds, "binary", folds, samples,
-                                  MetricSpec(kind="auc_roc"), patience=10,
-                                  max_rounds=30, master_seed=7, bundle_tag=0)
+    [bundle], [record] = train_layer1(ds, ["binary"], folds, samples,
+                                      MetricSpec(kind="auc_roc"), patience=10,
+                                      max_rounds=30, master_seed=7)
     return ds, folds, bundle, record
 
 
@@ -128,14 +128,64 @@ def test_layer1_binary_scores_in_unit_interval(small_layer1):
     assert (col > 0.0).all() and (col < 1.0).all()
 
 
-def test_layer1_worker_count_independence(small_layer1):
-    ds, folds, bundle, record = small_layer1
-    _, again = train_layer1(ds, "binary", folds, record.samples,
+@pytest.fixture(scope="module")
+def dual_layer1():
+    """Both label kinds trained in one call, on one worker and on two."""
+    g = np.random.default_rng(5)
+    X = (g.random((160, 12)) < 0.3).astype(float)
+    z = 2.0 * X[:, 0] - X[:, 1] + g.normal(0, 0.5, 160)
+    rows = [[(j, v) for j, v in enumerate(r) if v != 0.0] for r in X]
+    ds = SparseDataset.from_rows(
+        rows, n_cols=12, continuous_labels=z,
+        binary_labels=binarize(z, LabelMapping(0.8, "greater_is_positive")))
+    folds = stratified_kfold(ds.binary_labels, 2, seed=0)
+    samples = sample_hyperparams(2, seed=7)
+    runs = {w: train_layer1(ds, ["binary", "continuous"], folds, samples,
                             MetricSpec(kind="auc_roc"), patience=10,
-                            max_rounds=30, master_seed=7, bundle_tag=0,
-                            workers=2)
-    assert np.array_equal(record.oof_columns, again.oof_columns)
-    assert again.logs == record.logs
+                            max_rounds=30, master_seed=7, workers=w)
+            for w in (1, 2)}
+    return ds, folds, samples, runs
+
+
+def test_layer1_worker_count_independence(dual_layer1):
+    _, _, _, runs = dual_layer1
+    (_, r1), (b2, r2) = runs[1], runs[2]
+    assert [r.label_kind for r in r1] == ["binary", "continuous"]
+    assert [b.label_kind for b in b2] == ["binary", "continuous"]
+    for a, b in zip(r1, r2):
+        assert np.array_equal(a.oof_columns, b.oof_columns)
+        assert a.logs == b.logs
+
+
+def test_layer1_model_seed_is_kind_position_h_k(dual_layer1):
+    """Model (kind, h, k) is `train_gbm` seeded from (master_seed, position
+    of its kind, h, k), with its kind's loss."""
+    ds, folds, samples, runs = dual_layer1
+    bundles, records = runs[1]
+    for tag, loss in enumerate((LOGISTIC, QUADRATIC)):
+        for h, k in ((0, 1), (1, 0)):
+            tr, va = folds.train_rows(k), folds.valid_rows(k)
+            model, log = train_gbm(ds.subset(tr), ds.subset(va), samples[h],
+                                   loss, MetricSpec(kind="auc_roc"),
+                                   patience=10, max_rounds=30,
+                                   seed=derive_seed(7, tag, h, k))
+            assert records[tag].logs[h][k] == log
+            assert bundles[tag].models[h][k].loss == loss
+            assert np.array_equal(records[tag].oof_columns[va, h],
+                                  predict_gbm(model, ds.subset(va)))
+
+
+def test_layer1_pool_results_carry_no_forest_cache(dual_layer1):
+    """A base model sent back by a pool worker leaves the forest its valid
+    walk cached behind; the first walk here builds it again."""
+    ds, folds, _, runs = dual_layer1
+    bundles, records = runs[2]
+    models = [m for b in bundles for row in b.models for m in row]
+    assert any(m.booster == GBTREE and m.learners for m in models)
+    assert all(m._forest is None for m in models)
+    va = folds.valid_rows(0)
+    assert np.array_equal(predict_gbm(bundles[0].models[0][0], ds.subset(va)),
+                          records[0].oof_columns[va, 0])
 
 
 def test_layer1_cv_mean_property(small_layer1):
@@ -376,6 +426,24 @@ def test_run_cbf_deterministic(tiny_dataset):
     assert np.array_equal(a.test_pred, b.test_pred)
     assert np.array_equal(a.record.layer2.cv.per_fold,
                           b.record.layer2.cv.per_fold)
+
+
+def test_run_cbf_trains_layer1_in_one_pool(tiny_dataset, monkeypatch):
+    """A dual-label run with two workers trains both label kinds' grids in
+    one process pool."""
+    pools = []
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counted_pool)
+    cfg = tiny_config_dict(tiny_dataset, H=1, max_rounds=30, patience=10,
+                           workers=2)
+    result = run_cbf(RunConfig.from_dict(cfg))
+    assert [b.label_kind for b in result.model.bundles] == ["binary",
+                                                            "continuous"]
+    assert pools == [{"max_workers": 2}]
 
 
 def test_run_cbf_record_is_independent_of_worker_count(tiny_dataset, tiny_run):

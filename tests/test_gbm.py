@@ -11,7 +11,7 @@ from _oracles import (boosted_trees_oracle, breadth_first,
                       column_sweep_oracle, depth_first_tree_oracle,
                       exact_greedy_tree_oracle)
 from cbforest import gbm, persistence
-from cbforest.data import LabelMapping, SparseDataset, load_svmlight
+from cbforest.data import LabelMapping, SparseDataset, binarize, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearHyperParams,
                           TrainingError, TreeHyperParams, _Columns,
@@ -371,14 +371,13 @@ def test_train_gbm_numbers_bushy_trees_breadth_first():
     g_rng = np.random.default_rng(15)
     X = (g_rng.random((300, 12)) < 0.4) * g_rng.integers(1, 5, (300, 12))
     z = X[:, 0] - X[:, 1] + 0.5 * X[:, 2] * X[:, 3] + g_rng.normal(0, 0.5, 300)
-    ds = dataset_from_dense(X, continuous=z)
     mapping = LabelMapping(float(np.median(z)), "greater_is_positive")
+    ds = dataset_from_dense(X, binary=binarize(z, mapping), continuous=z)
     model, log = train_gbm(ds, ds, TreeHyperParams(max_depth=5,
                                                    min_child_weight=0.5,
                                                    subsample=0.8),
                            QUADRATIC, MetricSpec(kind="auc_roc"),
-                           label_mapping=mapping, patience=100, max_rounds=20,
-                           seed=0)
+                           patience=100, max_rounds=20, seed=0)
     loaded = persistence._gbm_from_dict(
         json.loads(json.dumps(persistence._gbm_to_dict(model))))
     assert len(loaded.learners) == log.optimal_round > 0
@@ -613,15 +612,15 @@ def test_train_gbm_monotone_training_loss_quadratic():
     g_rng = np.random.default_rng(9)
     X = (g_rng.random((120, 10)) < 0.3).astype(float)
     z = X[:, 0] * 2 - X[:, 1] + g_rng.normal(0, 0.2, 120)
-    ds = dataset_from_dense(X, continuous=z)
     mapping = LabelMapping(float(np.median(z)), "greater_is_positive")
+    ds = dataset_from_dense(X, binary=binarize(z, mapping), continuous=z)
     params = TreeHyperParams(max_depth=3, learning_rate=0.1)
     raws = _boosted_raw_scores(ds, z, QUADRATIC, params, float(z.mean()), 40)
     sq = [float(((raw - z) ** 2).sum()) for raw in raws]
     assert all(b <= a + 1e-9 for a, b in zip(sq, sq[1:]))
     model, log = train_gbm(ds, ds, params, QUADRATIC,
-                           MetricSpec(kind="auc_roc"), label_mapping=mapping,
-                           patience=10, max_rounds=40, seed=0)
+                           MetricSpec(kind="auc_roc"), patience=10,
+                           max_rounds=40, seed=0)
     assert len(model.learners) == log.optimal_round > 0
     _assert_prefixes_score(model, ds, raws, QUADRATIC)
 
@@ -639,20 +638,27 @@ def test_train_gbm_quadratic_regression_with_binarized_stop():
     g_rng = np.random.default_rng(10)
     X = (g_rng.random((60, 6)) < 0.4).astype(float)
     z = 3 * X[:, 0] + g_rng.normal(0, 0.1, 60)
-    ds = dataset_from_dense(X, continuous=z)
-    mapping = LabelMapping(1.5, "greater_is_positive")
+    ds = dataset_from_dense(
+        X, binary=binarize(z, LabelMapping(1.5, "greater_is_positive")),
+        continuous=z)
     model, log = train_gbm(ds, ds, TreeHyperParams(max_depth=2), QUADRATIC,
-                           MetricSpec(kind="auc_roc"), label_mapping=mapping,
-                           patience=5, max_rounds=40, seed=0)
+                           MetricSpec(kind="auc_roc"), patience=5,
+                           max_rounds=40, seed=0)
     assert model.loss == QUADRATIC
     assert max(log.scores) > 0.9
 
 
-def test_train_gbm_requires_mapping_for_continuous_ranking_stop():
-    ds = dataset_from_dense([[1.0], [0.0]], continuous=[1.0, 0.0])
-    with pytest.raises(TrainingError):
-        train_gbm(ds, ds, TreeHyperParams(), QUADRATIC,
-                  MetricSpec(kind="auc_roc"), patience=2, max_rounds=5, seed=0)
+def test_train_gbm_requires_binary_labels_on_the_valid_split():
+    """The stopping metric ranks the valid split's binary labels, whatever
+    the loss fits."""
+    train = dataset_from_dense([[1.0], [0.0]], binary=[1, 0],
+                               continuous=[1.0, 0.0])
+    valid = dataset_from_dense([[1.0], [0.0]], continuous=[1.0, 0.0])
+    for loss in (LOGISTIC, QUADRATIC):
+        with pytest.raises(TrainingError, match="valid split's binary labels"):
+            train_gbm(train, valid, TreeHyperParams(), loss,
+                      MetricSpec(kind="auc_roc"), patience=2, max_rounds=5,
+                      seed=0)
 
 
 def test_train_gbm_column_mismatch():
