@@ -15,7 +15,8 @@ from .ensemble import predict_cbf, run_cbf
 from .gbm import TrainingError
 from .metrics import (MetricError, MetricSpec, evaluate, logloss,
                       reliability_bins)
-from .persistence import PersistenceError, load_archive, save_archive
+from .persistence import (PersistenceError, load_archive, replaced_atomically,
+                          save_archive)
 from .synth import write_synthetic
 
 EXIT_CONFIG = 1
@@ -49,11 +50,10 @@ def _fmt(v):
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _write_tsv(path, header, rows):
-    with open(path, "w") as f:
-        f.write("\t".join(header) + "\n")
-        for row in rows:
-            f.write("\t".join(_fmt(v) for v in row) + "\n")
+def _write_tsv(f, header, rows):
+    f.write("\t".join(header) + "\n")
+    for row in rows:
+        f.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
 def cmd_train(args):
@@ -94,18 +94,20 @@ def cmd_train(args):
                     + list(sel.cv.per_fold[h])
                     + [float(sel.cv.mean[h]),
                        1 if h == sel.selected_index else 0])
-    _write_tsv(out / "cv_scores.tsv", header, rows)
+    with replaced_atomically(out / "cv_scores.tsv") as f:
+        _write_tsv(f, header, rows)
 
-    _write_tsv(out / "metrics.tsv", ["metric", "train", "valid", "test"],
-               [[name, row["train"], row["valid"], row["test"]]
-                for name, row in result.metrics_report.items()])
+    with replaced_atomically(out / "metrics.tsv") as f:
+        _write_tsv(f, ["metric", "train", "valid", "test"],
+                   [[name, row["train"], row["valid"], row["test"]]
+                    for name, row in result.metrics_report.items()])
 
     rel = result.reliability
-    _write_tsv(out / "reliability.tsv",
-               ["bin", "count", "mean_predicted", "positive_rate"],
-               [[b, int(rel.counts[b]), float(rel.mean_predicted[b]),
-                 float(rel.positive_rate[b])]
-                for b in range(len(rel.counts))])
+    with replaced_atomically(out / "reliability.tsv") as f:
+        _write_tsv(f, ["bin", "count", "mean_predicted", "positive_rate"],
+                   [[b, int(rel.counts[b]), float(rel.mean_predicted[b]),
+                     float(rel.positive_rate[b])]
+                    for b in range(len(rel.counts))])
     print(f"wrote model and reports to {out} "
           f"(reliability table computed on the {result.reliability_split} split)")
     return 0
@@ -126,8 +128,9 @@ def cmd_predict(args):
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     try:
-        _write_tsv(args.output, ["row_id", "probability"],
-                   [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
+        with open(args.output, "w") as f:
+            _write_tsv(f, ["row_id", "probability"],
+                       [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
     except OSError as e:
         print(f"cannot write output: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,7 @@ elastic-net candidate sweep, and two-stage prediction."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
 from .elastic_net import (MAX_ITER, TOL, ElasticNetParams, fit_elastic_net,
                           predict_proba)
 from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
-                  TreeHyperParams, lookup_blocks, predict_gbm, split_features,
-                  train_gbm)
+                  TreeHyperParams, _Scorer, predict_gbm, train_gbm)
 from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 
 
@@ -90,10 +89,7 @@ def _fit_layer1_task(args):
      seed) = args
     model, log = train_gbm(train_ds, valid_ds, params, loss, stop_metric,
                            patience=patience, max_rounds=max_rounds, seed=seed)
-    preds = predict_gbm(model, valid_ds)
-    # the copy drops the forest the walk cached, which would double what a
-    # pool worker sends back; the first walk in the caller builds it again
-    return replace(model), log, preds
+    return model, log, predict_gbm(model, valid_ds)
 
 
 def train_layer1(dataset: SparseDataset, kinds, folds: FoldAssignment,
@@ -249,6 +245,9 @@ class CbfModel:
     bundles: list                 # Layer1Bundle, binary-label bundle first
     layer2_betas: list            # winner's K fold coefficient vectors
     column_order: list            # [(label_kind, h), ...]
+    # the `_Scorer` of every base model, built by the first prediction
+    _scorer: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
 
 @dataclass
@@ -266,25 +265,21 @@ class TrainingRecord:
 def layer1_feature_matrix(model: CbfModel, data: SparseDataset) -> np.ndarray:
     """Fold-averaged base-model scores for new rows, in manifest order.
 
-    Rows are scored a block at a time; every base model of a block reads one
-    shared value lookup over the features any of their trees split on.
+    One `_Scorer` of every base model, kept on the model, scores the rows.
+    Each bundle row holds one model per fold, K in all.
     """
     names = [(b.label_kind, h) for b in model.bundles
              for h in range(len(b.models))]
     if names != list(map(tuple, model.column_order)):
         raise DataError("column manifest mismatch between model and bundles")
-    used = np.zeros(data.n_cols, dtype=bool)
-    for m in (m for b in model.bundles for row in b.models for m in row):
-        if m.n_cols != data.n_cols:
-            raise DataError(f"column-count mismatch: model has {m.n_cols}, "
-                            f"data has {data.n_cols}")
-        used[split_features(m)] = True
-    blocks = []
-    for lookup in lookup_blocks(data, np.flatnonzero(used)):
-        blocks.append(np.column_stack([
-            np.mean([predict_gbm(m, lookup) for m in fold_models], axis=0)
-            for b in model.bundles for fold_models in b.models]))
-    return np.concatenate(blocks)
+    if model._scorer is None:
+        model._scorer = _Scorer([m for b in model.bundles
+                                 for row in b.models for m in row])
+    K = len(model.bundles[0].models[0])
+    scores = model._scorer(data).reshape(len(names), K, data.n_rows)
+    # the K folds are added in order, also for a single row, where a mean
+    # would add them pairwise and change the last bits
+    return (np.add.accumulate(scores, axis=1)[:, -1] / K).T
 
 
 def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:
@@ -292,11 +287,12 @@ def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:
 
     Every base model predicts on all rows; the K fold predictions per
     (bundle, h) are averaged into one column, then the layer-2 fold models
-    are averaged on the probability scale.
+    on the probability scale. Both add in order, so a row alone gets its
+    batch bits.
     """
     X = layer1_feature_matrix(model, data)
     probs = [predict_proba(beta, X) for beta in model.layer2_betas]
-    return np.mean(probs, axis=0)
+    return np.add.accumulate(probs, axis=0)[-1] / len(probs)
 
 
 @dataclass

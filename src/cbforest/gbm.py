@@ -13,14 +13,15 @@ direction learned as the side maximizing gain.
 A linear learner is one coordinate-descent sweep per round over the columns
 of the training matrix, which are sliced once per `train_gbm`.
 
-A tree is a set of flat node arrays (`DecisionTree`). Prediction walks all
-trees of a model at once, one depth level per step, reading feature values
-from a dense `ValueLookup` that many models can share.
+A tree is a set of flat node arrays (`DecisionTree`). Prediction scores
+many models at once (`_Scorer`): the trees of all of them are one forest,
+walked one depth level per step over a dense `ValueLookup` of a block of
+rows, and the linear models are the columns of one weight matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -124,9 +125,6 @@ class GbmModel:
     learning_rate: float
     learners: list
     n_cols: int
-    # _Forest of the trees, built by the first walk; _forest_of
-    _forest: object = field(default=None, init=False, repr=False,
-                            compare=False)
 
 
 @dataclass
@@ -510,6 +508,7 @@ def _summed_delta(deltas) -> LinearDelta:
 
 
 BLOCK_ROWS = 1024  # rows per ValueLookup, bounding its dense table
+WALK_PAIRS = 1 << 16  # (tree, row) pairs per forest walk; _Forest.leaf_values
 
 
 class ValueLookup:
@@ -588,24 +587,30 @@ class _Forest:
             level = np.concatenate([right - 1, right])
 
     def leaf_values(self, lookup: ValueLookup):
-        """(trees, rows) array: the leaf value each row reaches in each tree."""
+        """(trees, rows) array: the leaf value each row reaches in each tree.
+        Groups of trees are walked in turn, each group at most `WALK_PAIRS`
+        (tree, row) pairs or one tree, so that its arrays stay in cache."""
         if (lookup.column[self.features] < 0).any():
             raise ValueError("value lookup lacks a feature the trees split on")
         n = lookup.n_rows
-        # (tree, row) pairs, tree by tree, so that consecutive pairs read
-        # few columns, each in row order
-        node = np.repeat(self.roots, n)
-        if self.depth:
-            # flat offset of the lookup column each node reads
-            offset = lookup.column[self.feature] * n
-            values = lookup.values.ravel()
-            row = np.tile(np.arange(n), len(self.roots))
-        for _ in range(self.depth):
-            x = values[offset[node] + row]
-            go_left = ((x < self.threshold[node])
-                       | (np.isnan(x) & self.default_left[node]))
-            node = self.right[node] - go_left
-        return self.value[node].reshape(len(self.roots), n)
+        out = np.empty((len(self.roots), n))
+        # flat offset of the lookup column each node reads
+        offset = lookup.column.take(self.feature) * n
+        values = lookup.values.ravel()
+        step = max(1, WALK_PAIRS // max(n, 1))
+        for a in range(0, len(self.roots), step):
+            roots = self.roots[a:a + step]
+            # (tree, row) pairs, tree by tree, so that consecutive pairs read
+            # few columns, each in row order
+            node = np.repeat(roots, n)
+            row = np.tile(np.arange(n), len(roots))
+            for _ in range(self.depth):
+                x = values.take(offset.take(node) + row)
+                go_left = ((x < self.threshold.take(node))
+                           | (np.isnan(x) & self.default_left.take(node)))
+                node = self.right.take(node) - go_left
+            out[a:a + step] = self.value.take(node).reshape(len(roots), n)
+        return out
 
 
 def _lookups(data, features):
@@ -720,54 +725,67 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
             TrainingLog(scores=log, optimal_round=best_round))
 
 
-def _forest_of(model: GbmModel) -> _Forest:
-    """The model's trees as one forest, kept on the model for the next walk."""
-    if model._forest is None:
-        model._forest = _Forest(model.learners)
-    return model._forest
+class _Scorer:
+    """Scores many models together: called on a SparseDataset, or on a
+    ValueLookup covering its `features`, it returns a (models, rows) array
+    of what `predict_gbm` returns for each model. Per block of rows, the
+    trees of all gbtree models are one `_Forest` walk, and the gblinear
+    models' summed deltas are the columns of one sparse product."""
 
+    def __init__(self, models):
+        self.n_cols = {m.n_cols for m in models}
+        self.base = np.array([m.base_score for m in models], dtype=float)
+        self.lr = np.array([m.learning_rate for m in models], dtype=float)
+        self.logistic = np.array([m.loss == LOGISTIC for m in models])
+        trees, self.spans, linear = [], [], []   # span: (model, trees a:b)
+        for i, m in enumerate(models):
+            if m.booster == GBTREE and m.learners:
+                self.spans.append((i, len(trees), len(trees) + len(m.learners)))
+                trees += m.learners
+            elif m.learners:
+                linear.append(i)
+        self.forest = _Forest(trees) if trees else None
+        self.features = self.forest.features if trees else np.empty(0, int)
+        if trees:
+            # leaves as boosting added them: times the learning rate, and in a
+            # model's first tree to its base score (`raw + lr * out`)
+            start = self.forest.roots
+            value = self.forest.value = self.forest.value.astype(float)
+            stop = np.append(start[1:], len(value))
+            for i, a, b in self.spans:
+                value[start[a]:stop[b - 1]] *= self.lr[i]
+                value[start[a]:stop[a]] += self.base[i]
+        self.linear = np.array(linear, dtype=np.int64)
+        deltas = [_summed_delta(models[i].learners) for i in linear]
+        self.bias = np.array([[d.bias] for d in deltas])
+        if deltas:
+            self.weights = np.column_stack([d.weights for d in deltas])
 
-def split_features(model: GbmModel) -> np.ndarray:
-    """Sorted ids of the features the model's trees split on; a ValueLookup
-    over them serves `predict_gbm`."""
-    if model.booster != GBTREE or not model.learners:
-        return np.empty(0, dtype=np.int64)
-    return _forest_of(model).features
+    def __call__(self, data) -> np.ndarray:
+        for n_cols in self.n_cols - {data.n_cols}:
+            raise DataError(f"column-count mismatch: model has {n_cols}, "
+                            f"data has {data.n_cols}")
+        return np.concatenate([self._block(lookup) for lookup
+                               in _lookups(data, self.features)], axis=1)
+
+    def _block(self, lookup: ValueLookup):
+        raw = np.repeat(self.base[:, None], lookup.n_rows, axis=1)
+        leaves = self.forest.leaf_values(lookup) if self.spans else None
+        for i, a, b in self.spans:
+            # accumulate adds the trees in order; a pairwise sum would change
+            # the last bits
+            raw[i] = np.add.accumulate(leaves[a:b], axis=0)[-1]
+        if self.linear.size:
+            i = self.linear
+            raw[i] += self.lr[i, None] * (self.bias
+                                          + (lookup.csr @ self.weights).T)
+        raw[self.logistic] = expit(raw[self.logistic])
+        return raw
 
 
 def predict_gbm(model: GbmModel, data) -> np.ndarray:
-    """Predict with every learner of the model.
-
-    `data` is a SparseDataset, or a ValueLookup over a block of its rows that
-    covers the model's `split_features`, which many models can share. All
-    trees are walked together, and their outputs are added to the base score
-    one tree at a time, in order, as training added them.
-
+    """Predict with every learner of the model, as a `_Scorer` of it alone,
+    on a SparseDataset or a ValueLookup covering the model's split features.
     Logistic models return probabilities in (0, 1); quadratic models return
-    raw scores.
-    """
-    if data.n_cols != model.n_cols:
-        raise DataError(
-            f"column-count mismatch: model has {model.n_cols}, data has {data.n_cols}")
-    learners = model.learners
-    if model.booster == GBTREE and learners:
-        forest = _forest_of(model)
-        blocks = []
-        for lookup in _lookups(data, forest.features):
-            terms = np.empty((len(learners) + 1, lookup.n_rows))
-            terms[0] = model.base_score
-            np.multiply(model.learning_rate, forest.leaf_values(lookup),
-                        out=terms[1:])
-            # cumsum adds the trees in order, as `raw + lr * out` did per
-            # round; a pairwise sum would change the last bits
-            blocks.append(np.cumsum(terms, axis=0)[-1])
-        raw = np.concatenate(blocks)
-    else:
-        raw = np.full(data.n_rows, model.base_score)
-        if learners:
-            csr = data.csr if isinstance(data, ValueLookup) else data.to_csr()
-            d = _summed_delta(learners)
-            raw = raw + model.learning_rate * (d.bias + csr.dot(d.weights))
-    if model.loss == LOGISTIC:
-        return expit(raw)
-    return raw
+    raw scores, tree outputs added in order, as training added them."""
+    return _Scorer([model])(data)[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,11 @@ def model_from_dict(d) -> CbfModel:
         raise PersistenceError("malformed archive: it has no bundles")
     if not all(b["models"] and all(b["models"]) for b in d["bundles"]):
         raise PersistenceError("malformed archive: a bundle has no base models")
+    # prediction scores all base models together and averages K per row
+    if len({(len(row), m["n_cols"]) for b in d["bundles"]
+            for row in b["models"] for m in row}) > 1:
+        raise PersistenceError("malformed archive: its rows of base models "
+                               "differ in fold count or column count")
     width = 1 + len(d["column_order"])
     if not d["layer2_betas"]:
         raise PersistenceError(
@@ -137,25 +143,32 @@ def _payload_checksum(payload):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def save_archive(path, model: CbfModel, config_dict):
-    """Write the archive to a temporary file beside `path`, then move it
-    into place, so a failed save leaves any previous archive intact."""
-    payload = {"format_version": FORMAT_VERSION, "config": config_dict,
-               "model": model_to_dict(model)}
-    doc = dict(payload)
-    doc["checksum"] = _payload_checksum(payload)
+@contextmanager
+def replaced_atomically(path):
+    """A text file written beside `path`, synced and moved over it when the
+    block ends; a failed write leaves `path` as it was and no file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
-            # json.dumps, unlike json.dump, runs the C encoder
-            f.write(json.dumps(doc, sort_keys=True) + "\n")
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_archive(path, model: CbfModel, config_dict):
+    """Write the archive atomically (`replaced_atomically`)."""
+    payload = {"format_version": FORMAT_VERSION, "config": config_dict,
+               "model": model_to_dict(model)}
+    doc = dict(payload)
+    doc["checksum"] = _payload_checksum(payload)
+    with replaced_atomically(path) as f:
+        # json.dumps, unlike json.dump, runs the C encoder
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_archive(path):

@@ -3,9 +3,10 @@
 Everything here but the last sections is written with plain Python loops
 straight from the metric and split-gain definitions, deliberately sharing no
 code (and no vectorized shortcuts) with the package implementation. The last
-three sections keep the package's previous layer-1 builders, which the
+four sections keep the package's previous layer-1 builders, which the
 current ones must match bit for bit, its previous line-by-line SVMLight
-parser and its previous `rankdata` AUC-ROC. The tie rule for the rank-based
+parser, its previous `rankdata` AUC-ROC and its previous per-model
+prediction arithmetic. The tie rule for the rank-based
 early-retrieval metrics — a stable shuffle seeded with 902119 before the
 descending sort — is part of the documented metric contract and is
 re-derived here independently.
@@ -15,11 +16,13 @@ import math
 import random
 
 import numpy as np
+from scipy.special import expit
 from scipy.stats import rankdata
 
 from cbforest.data import (_MAX_INDEX, DataError, SparseDataset, _decode,
                            _fmt)
-from cbforest.gbm import DecisionTree, LinearDelta, _TrainMatrix
+from cbforest.gbm import (GBTREE, LOGISTIC, DecisionTree, LinearDelta,
+                          _TrainMatrix)
 
 TIE_SEED = 902119
 
@@ -651,3 +654,47 @@ def auc_roc_rankdata_oracle(scores, labels):
     ranks = rankdata(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
                  / (n_pos * n_neg))
+
+
+# ---------------------------------------------------------------------------
+# The package's previous prediction arithmetic, one model at a time, which
+# the scorer of many models must match bit for bit. A gbtree model adds its
+# trees' outputs to the base score in order. A gblinear model sums its deltas
+# into one (`np.sum` over the deltas), then adds to the base score the
+# learning rate times the bias plus each row's dot product, which sparse
+# `csr.dot` took over the row's stored values in order, starting from 0.0.
+# Leaf values come from a walk of the flat tree, one node at a time.
+
+def flat_tree_walk_oracle(tree, row):
+    """The leaf value a {feature: value} row reaches in a `DecisionTree`."""
+    i = 0
+    while tree.left[i] >= 0:
+        f = int(tree.feature[i])
+        go_left = (row[f] < tree.threshold[i] if f in row
+                   else bool(tree.default_left[i]))
+        i = int(tree.left[i]) + (0 if go_left else 1)
+    return float(tree.value[i])
+
+
+def gbm_prediction_oracle(model, dataset):
+    """`predict_gbm(model, dataset)` as one model was scored on its own."""
+    rows = [list(zip(dataset.indices[a:b].tolist(),
+                     dataset.values[a:b].tolist()))
+            for a, b in zip(dataset.indptr[:-1], dataset.indptr[1:])]
+    lr, out = model.learning_rate, []
+    if model.booster == GBTREE or not model.learners:
+        for row in rows:
+            raw = model.base_score
+            for tree in model.learners:
+                raw = raw + lr * flat_tree_walk_oracle(tree, dict(row))
+            out.append(raw)
+    else:
+        bias = sum(d.bias for d in model.learners)
+        weights = np.sum([d.weights for d in model.learners], axis=0)
+        for row in rows:
+            dot = 0.0
+            for j, v in row:
+                dot += v * float(weights[j])
+            out.append(model.base_score + lr * (bias + dot))
+    raw = np.array(out, dtype=float)
+    return expit(raw) if model.loss == LOGISTIC else raw

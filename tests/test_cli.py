@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cbforest
+from cbforest import cli
 from cbforest.cli import main
 from cbforest.config import (DEFAULT_RANGES, ConfigError, LabelConfig,
                              Layer2Config, RunConfig)
@@ -254,8 +255,8 @@ def test_archive_holds_only_prediction_state(tiny_run, tmp_path):
     training_only = {"training_log", "logs", "scores", "optimal_round",
                      "oof_columns", "fold_of_row", "samples", "cv_per_fold"}
     assert not training_only & set(_json_keys(doc))
-    assert [f.name for f in fields(CbfModel)] == ["bundles", "layer2_betas",
-                                                  "column_order"]
+    assert [f.name for f in fields(CbfModel) if f.compare] == [
+        "bundles", "layer2_betas", "column_order"]
 
 
 def _assert_same(a, b, where="model"):
@@ -457,11 +458,22 @@ def _short_layer2_beta(doc):
     doc["model"]["layer2_betas"][0].pop()
 
 
+def _short_fold_row(doc):
+    doc["model"]["bundles"][-1]["models"][-1].pop()
+
+
+def _wider_base_model(doc):
+    doc["model"]["bundles"][0]["models"][0][0]["n_cols"] += 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (_no_bundles, "it has no bundles"),
     (_empty_fold_row, "a bundle has no base models"),
     (_no_layer2_betas, "it has no layer-2 coefficient vector"),
     (_short_layer2_beta, "a layer-2 coefficient vector has length"),
+    (_short_fold_row, "its rows of base models differ in fold count"),
+    (_wider_base_model, "its rows of base models differ in fold count or "
+                        "column count"),
 ])
 def test_predict_rejects_an_archive_it_cannot_score_with(
         tiny_run, tiny_dataset, tmp_path, capsys, edit, message):
@@ -477,6 +489,41 @@ def test_model_dict_is_json_serializable(tiny_run):
 
 
 # -------------------------------------------------------------- cmd_train
+
+@pytest.mark.parametrize("report", ["cv_scores.tsv", "metrics.tsv",
+                                    "reliability.tsv"])
+def test_failed_report_write_keeps_the_previous_report(report, tiny_run,
+                                                       tmp_path, monkeypatch):
+    """A train whose write of a report fails midway leaves the reports of
+    the previous train as they were, and no temporary file behind."""
+    config, result = tiny_run
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(config.to_dict(),
+                                    output_dir=str(tmp_path / "out"))))
+    monkeypatch.setattr(cli, "run_cbf", lambda config: result)
+    assert run_cli(["train", "--config", str(path)]) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    # _fmt formats each cell; the reports are written in this order
+    cells = {"cv_scores.tsv": len(result.record.layer2.candidates)
+             * (result.record.folds.K + 5),
+             "metrics.tsv": 4 * len(result.metrics_report),
+             "reliability.tsv": 4 * len(result.reliability.counts)}
+    order = list(cells)
+    fail_at = sum(cells[r] for r in order[:order.index(report)]) + 5
+    fmt, calls = cli._fmt, []
+
+    def failing_fmt(v):
+        calls.append(v)
+        if len(calls) == fail_at:
+            raise OSError("no space left on device")
+        return fmt(v)
+
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    with pytest.raises(OSError, match="no space"):
+        main(["train", "--config", str(path)])
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "out").iterdir()} == before
+
 
 @pytest.fixture(scope="module")
 def cli_train(tiny_dataset, tmp_path_factory):

@@ -1,5 +1,6 @@
 """Stacking pipeline tests: sampling, layer-1 grids, MD assembly, layer-2."""
 import dataclasses
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -19,6 +20,7 @@ from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           GbmModel, LinearHyperParams, TreeHyperParams,
                           predict_gbm, train_gbm)
 from cbforest.metrics import MetricSpec, logloss
+from cbforest.persistence import load_archive, save_archive
 
 from conftest import tiny_config_dict
 
@@ -175,14 +177,19 @@ def test_layer1_model_seed_is_kind_position_h_k(dual_layer1):
                                   predict_gbm(model, ds.subset(va)))
 
 
-def test_layer1_pool_results_carry_no_forest_cache(dual_layer1):
-    """A base model sent back by a pool worker leaves the forest its valid
-    walk cached behind; the first walk here builds it again."""
+def test_layer1_pool_results_are_their_six_fields(dual_layer1):
+    """A base model sent back by a pool worker carries nothing but its six
+    fields: it pickles to the bytes of the model rebuilt from them."""
     ds, folds, _, runs = dual_layer1
     bundles, records = runs[2]
     models = [m for b in bundles for row in b.models for m in row]
-    assert any(m.booster == GBTREE and m.learners for m in models)
-    assert all(m._forest is None for m in models)
+    assert {m.booster for m in models if m.learners} == {GBTREE, GBLINEAR}
+    for m in models:
+        rebuilt = GbmModel(booster=m.booster, loss=m.loss,
+                           base_score=m.base_score,
+                           learning_rate=m.learning_rate, learners=m.learners,
+                           n_cols=m.n_cols)
+        assert pickle.dumps(m) == pickle.dumps(rebuilt)
     va = folds.valid_rows(0)
     assert np.array_equal(predict_gbm(bundles[0].models[0][0], ds.subset(va)),
                           records[0].oof_columns[va, 0])
@@ -367,6 +374,41 @@ def test_predict_cbf_rows_one_at_a_time_equal_the_batch(tiny_run):
     one_by_one = [predict_cbf(model, data.subset([i]))[0]
                   for i in range(data.n_rows)]
     assert np.array_equal(one_by_one, batch)
+
+
+def test_rows_one_at_a_time_equal_the_batch_with_eight_folds(tiny_dataset):
+    """With K >= 8, a mean over K values adds them pairwise for one row and
+    in order for a batch; prediction adds them in order for both."""
+    result = run_cbf(RunConfig.from_dict(tiny_config_dict(tiny_dataset,
+                                                          K=8)))
+    model, data = result.model, result.train_data
+    assert len(model.layer2_betas) == len(model.bundles[0].models[0]) == 8
+    X = layer1_feature_matrix(model, data)
+    batch = predict_cbf(model, data)
+    for i in range(data.n_rows):
+        row = data.subset([i])
+        assert layer1_feature_matrix(model, row).tobytes() == X[i].tobytes()
+        assert predict_cbf(model, row).tobytes() == batch[i].tobytes()
+
+
+def test_loaded_model_builds_its_scorer_once(tiny_run, tmp_path,
+                                             monkeypatch):
+    config, result = tiny_run
+    save_archive(tmp_path / "model.cbf", result.model, config.to_dict())
+    model, _ = load_archive(tmp_path / "model.cbf")
+    built = []
+
+    class CountingScorer(ensemble._Scorer):
+        def __init__(self, models):
+            built.append(len(models))
+            super().__init__(models)
+
+    monkeypatch.setattr(ensemble, "_Scorer", CountingScorer)
+    train_pred = predict_cbf(model, result.train_data)
+    test_pred = predict_cbf(model, result.test_data)
+    assert built == [sum(len(row) for b in model.bundles for row in b.models)]
+    assert train_pred.tobytes() == result.train_pred.tobytes()
+    assert test_pred.tobytes() == result.test_pred.tobytes()
 
 
 def test_predict_cbf_differs_from_oof_training_values(tiny_run):

@@ -9,13 +9,13 @@ from scipy.special import expit
 
 from _oracles import (boosted_trees_oracle, breadth_first,
                       column_sweep_oracle, depth_first_tree_oracle,
-                      exact_greedy_tree_oracle)
+                      exact_greedy_tree_oracle, gbm_prediction_oracle)
 from cbforest import gbm, persistence
 from cbforest.data import LabelMapping, SparseDataset, binarize, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
-                          DecisionTree, GbmModel, LinearHyperParams,
-                          TrainingError, TreeHyperParams, _Columns,
-                          build_linear_delta, build_tree, grad_hess,
+                          DecisionTree, GbmModel, LinearDelta,
+                          LinearHyperParams, TrainingError, TreeHyperParams,
+                          _Columns, build_linear_delta, build_tree, grad_hess,
                           lookup_blocks, predict_gbm, predict_tree, train_gbm)
 from cbforest.metrics import MetricSpec, logloss, oriented_score
 
@@ -820,6 +820,73 @@ def test_predict_gbm_matches_tree_walk_oracle():
                 predict_gbm(model, lookup)
                 for lookup in lookup_blocks(ds, np.arange(n_cols))])
             assert np.array_equal(shared, expected)
+
+
+def _assert_scored_like_one_model_at_a_time(models, data):
+    scores = gbm._Scorer(models)(data)
+    assert scores.shape == (len(models), data.n_rows)
+    for i, model in enumerate(models):
+        expected = gbm_prediction_oracle(model, data).tobytes()
+        assert scores[i].tobytes() == expected, i
+        assert predict_gbm(model, data).tobytes() == expected, i
+
+
+@pytest.mark.parametrize("loss", [LOGISTIC, QUADRATIC])
+def test_scorer_matches_the_per_model_oracle_on_dense_wide_rows(loss):
+    # 512 columns, 60 % stored: a linear row adds about 300 products
+    g = np.random.default_rng(25)
+    X = (g.random((240, 512)) < 0.6) * g.integers(1, 4, (240, 512))
+    z = X[:, 0] - X[:, 1] + X[:, 2] + g.normal(0, 1.0, 240)
+    ds = dataset_from_dense(X, binary=(z > 2.0).astype(int), continuous=z)
+    train = ds.subset(np.arange(160))
+    samples = [TreeHyperParams(max_depth=4), LinearHyperParams(),
+               TreeHyperParams(max_depth=2, learning_rate=0.3),
+               LinearHyperParams(reg_alpha=0.5, learning_rate=0.2)]
+    models = [train_gbm(train, train, params, loss,
+                        MetricSpec(kind="auc_roc"), patience=6, max_rounds=6,
+                        seed=seed)[0]
+              for seed, params in enumerate(samples)]
+    assert all(m.learners for m in models)
+    _assert_scored_like_one_model_at_a_time(models, ds)
+    _assert_scored_like_one_model_at_a_time(models, ds.subset([200]))
+
+
+def test_scorer_matches_the_per_model_oracle_on_summed_and_empty_models():
+    g = np.random.default_rng(26)
+    ds = dataset_from_dense((g.random((50, 20)) < 0.5) * g.normal(size=(50, 20)))
+    deltas = [LinearDelta(bias=float(g.normal()), weights=g.normal(size=20))
+              for _ in range(3)]
+    models = [
+        # several deltas, as an older archive may hold
+        GbmModel(GBLINEAR, LOGISTIC, 0.0, 0.5, deltas, 20),
+        GbmModel(GBLINEAR, QUADRATIC, 1.5, 0.3, [], 20),
+        GbmModel(GBTREE, LOGISTIC, -0.25, 0.1, [], 20),
+        GbmModel(GBLINEAR, QUADRATIC, 0.7, 0.2, deltas[1:], 20),
+    ]
+    _assert_scored_like_one_model_at_a_time(models, ds)
+    # no tree and no linear weight at all
+    _assert_scored_like_one_model_at_a_time(models[1:3], ds)
+
+
+def test_scorer_walk_groups_split_models_and_fall_between_them():
+    """A block of BLOCK_ROWS rows walks 64 trees a group: the first model
+    fills one group, so a boundary falls between it and the second, whose
+    70 trees span two groups."""
+    assert gbm.WALK_PAIRS // BLOCK_ROWS == 64
+    r = np.random.default_rng(27)
+    col_values = [COLUMN_VALUES[k] for k in r.choice(list(COLUMN_VALUES), 5)]
+    rows = [sorted({j: float(r.choice(col_values[j]))
+                    for j in range(5) if r.random() < 0.5}.items())
+            for _ in range(BLOCK_ROWS)]
+    ds = SparseDataset.from_rows(rows, n_cols=5)
+    models = [GbmModel(GBTREE, loss, float(r.normal()), lr,
+                       [_flat(_random_nested_tree(r, col_values,
+                                                  int(r.integers(1, 4))))
+                        for _ in range(n_trees)], 5)
+              for n_trees, loss, lr in ((64, QUADRATIC, 0.1),
+                                        (70, LOGISTIC, 0.3),
+                                        (3, QUADRATIC, 1.0))]
+    _assert_scored_like_one_model_at_a_time(models, ds)
 
 
 @pytest.mark.parametrize("booster", [GBTREE, GBLINEAR])
