@@ -422,7 +422,6 @@ def stratified_kfold(binary_labels, K, seed) -> FoldAssignment:
     for cls in (1, 0):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        for r in idx:
-            fold[r] = counter % K
-            counter += 1
+        fold[idx] = (counter + np.arange(idx.size)) % K
+        counter += idx.size
     return FoldAssignment(K, fold)

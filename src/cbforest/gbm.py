@@ -14,9 +14,11 @@ A linear learner is one coordinate-descent sweep per round over the columns
 of the training matrix, which are sliced once per `train_gbm`.
 
 A tree is a set of flat node arrays (`DecisionTree`). Prediction scores
-many models at once (`_Scorer`): the trees of all of them are one forest,
-walked one depth level per step over a dense `ValueLookup` of a block of
-rows, and the linear models are the columns of one weight matrix.
+many models at once (`_Scorer`) on a `SparseDataset`, block by block of
+rows: the trees of all of them are one forest, which lays out the block's
+CSC values of its split features as a dense table and walks it one depth
+level per step, and the linear models are the columns of one weight matrix
+applied to the block's CSR.
 """
 from __future__ import annotations
 
@@ -507,48 +509,8 @@ def _summed_delta(deltas) -> LinearDelta:
                        weights=np.sum([d.weights for d in deltas], axis=0))
 
 
-BLOCK_ROWS = 1024  # rows per ValueLookup, bounding its dense table
+BLOCK_ROWS = 1024  # rows per scorer block, bounding its dense table
 WALK_PAIRS = 1 << 16  # (tree, row) pairs per forest walk; _Forest.leaf_values
-
-
-class ValueLookup:
-    """Dense values of some features over consecutive rows of a dataset.
-
-    `values[c, i]` is the value of the feature in column c for row
-    `start + i`, NaN where the row stores none: stored values are finite
-    (`SparseDataset` rejects others), so NaN marks absence alone. `features`
-    are distinct; `column[j]` is feature j's column, or -1 for a feature
-    left out. One lookup serves every tree model that splits only on its
-    features; `csr` gives its rows to linear models.
-    """
-
-    def __init__(self, data: SparseDataset, features, start=0, stop=None):
-        stop = data.n_rows if stop is None else stop
-        features = np.asarray(features, dtype=np.int64)
-        k = len(features)
-        self.n_rows = stop - start
-        self.n_cols = data.n_cols
-        self.column = np.full(data.n_cols, -1, dtype=np.int64)
-        self.column[features] = np.arange(k)
-        if self.n_rows == data.n_rows:
-            self.csr, csc = data.to_csr(), data.to_csc()
-        else:
-            self.csr = data.to_csr()[start:stop]
-            csc = self.csr.tocsc()
-        first = csc.indptr[features]
-        count = csc.indptr[features + 1] - first
-        pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
-                                                 count)
-        self.values = np.full((k, self.n_rows), np.nan)
-        self.values[np.repeat(np.arange(k), count),
-                    csc.indices[pos]] = csc.data[pos]
-
-
-def lookup_blocks(data: SparseDataset, features):
-    """A ValueLookup over `features` for each block of `BLOCK_ROWS` rows."""
-    for start in range(0, max(data.n_rows, 1), BLOCK_ROWS):
-        yield ValueLookup(data, features, start,
-                          min(start + BLOCK_ROWS, data.n_rows))
 
 
 class _Forest:
@@ -556,8 +518,10 @@ class _Forest:
 
     Node ids are global. A leaf loops back to itself: `right` is its own id,
     and its threshold -inf and default right send no row left. So every row
-    can take the same number of steps, the depth of the deepest tree. A leaf
-    reads the lookup column of some split feature and ignores it.
+    can take the same number of steps, the depth of the deepest tree.
+    `features` are the distinct split features in increasing order, and
+    `table_row[i]` is the one node i reads, as its index in them; a leaf
+    reads index 0 and ignores it.
     """
 
     def __init__(self, trees):
@@ -566,9 +530,9 @@ class _Forest:
         left = np.concatenate([t.left for t in trees])
         leaf = left < 0
         feature = np.concatenate([t.feature for t in trees])
-        self.features = np.unique(feature[~leaf])
-        self.feature = np.where(
-            leaf, self.features[0] if self.features.size else 0, feature)
+        self.features, inverse = np.unique(feature[~leaf], return_inverse=True)
+        self.table_row = np.zeros(len(left), dtype=np.int64)
+        self.table_row[~leaf] = inverse
         self.threshold = np.where(
             leaf, -np.inf, np.concatenate([t.threshold for t in trees]))
         self.default_left = ~leaf & np.concatenate(
@@ -586,22 +550,33 @@ class _Forest:
             right = self.right[level]
             level = np.concatenate([right - 1, right])
 
-    def leaf_values(self, lookup: ValueLookup):
-        """(trees, rows) array: the leaf value each row reaches in each tree.
-        Groups of trees are walked in turn, each group at most `WALK_PAIRS`
-        (tree, row) pairs or one tree, so that its arrays stay in cache."""
-        if (lookup.column[self.features] < 0).any():
-            raise ValueError("value lookup lacks a feature the trees split on")
-        n = lookup.n_rows
+    def leaf_values(self, csc):
+        """(trees, rows) array: the leaf value each row of the scipy CSC
+        matrix `csc` reaches in each tree.
+
+        The rows' values of `features` are first laid out in a dense
+        (features, rows) table, NaN where a row stores none: stored values
+        are finite (`SparseDataset` rejects others), so NaN marks absence
+        alone. Groups of trees are then walked in turn, each group at most
+        `WALK_PAIRS` (tree, row) pairs or one tree, so that its arrays stay
+        in cache."""
+        n = csc.shape[0]
+        first = csc.indptr[self.features]
+        count = csc.indptr[self.features + 1] - first
+        pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
+                                                 count)
+        table = np.full((len(self.features), n), np.nan)
+        table[np.repeat(np.arange(len(self.features)), count),
+              csc.indices[pos]] = csc.data[pos]
+        values = table.ravel()
         out = np.empty((len(self.roots), n))
-        # flat offset of the lookup column each node reads
-        offset = lookup.column.take(self.feature) * n
-        values = lookup.values.ravel()
+        # flat offset of the table row each node reads
+        offset = self.table_row * n
         step = max(1, WALK_PAIRS // max(n, 1))
         for a in range(0, len(self.roots), step):
             roots = self.roots[a:a + step]
             # (tree, row) pairs, tree by tree, so that consecutive pairs read
-            # few columns, each in row order
+            # few table rows, each in row order
             node = np.repeat(roots, n)
             row = np.tile(np.arange(n), len(roots))
             for _ in range(self.depth):
@@ -613,17 +588,10 @@ class _Forest:
         return out
 
 
-def _lookups(data, features):
-    return [data] if isinstance(data, ValueLookup) else lookup_blocks(
-        data, features)
-
-
-def predict_tree(tree: DecisionTree, data) -> np.ndarray:
-    """The leaf value each row of `data` (a SparseDataset or a ValueLookup
-    covering the tree's split features) reaches in `tree`."""
-    forest = _Forest([tree])
-    return np.concatenate([forest.leaf_values(lk)[0]
-                           for lk in _lookups(data, forest.features)])
+def predict_tree(tree: DecisionTree, data: SparseDataset) -> np.ndarray:
+    """The leaf value each row of `data` reaches in `tree`. The rows are one
+    block: training walks its whole splits, whose CSC the dataset caches."""
+    return _Forest([tree]).leaf_values(data.to_csc())[0]
 
 
 def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
@@ -696,10 +664,8 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
             else:
                 rows = None
             learner = build_tree(g, h, tm, params, rng, rows=rows)
-            # training sets are held whole in memory, so each gets one lookup
-            split_on = np.unique(learner.feature[learner.left >= 0])
-            out_tr = predict_tree(learner, ValueLookup(train, split_on))
-            out_va = predict_tree(learner, ValueLookup(valid, split_on))
+            out_tr = predict_tree(learner, train)
+            out_va = predict_tree(learner, valid)
         else:
             learner = build_linear_delta(g, h, cols, params, cum_b, cum_w,
                                          col_hess)
@@ -726,11 +692,13 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
 
 
 class _Scorer:
-    """Scores many models together: called on a SparseDataset, or on a
-    ValueLookup covering its `features`, it returns a (models, rows) array
-    of what `predict_gbm` returns for each model. Per block of rows, the
-    trees of all gbtree models are one `_Forest` walk, and the gblinear
-    models' summed deltas are the columns of one sparse product."""
+    """Scores many models together: called on a SparseDataset, it returns a
+    (models, rows) array of what `predict_gbm` returns for each model. Rows
+    are scored in blocks of `BLOCK_ROWS`, each a CSR slice of the dataset
+    and its CSC; a dataset of one block is its own cached CSR and CSC. Per
+    block, the trees of all gbtree models are one `_Forest` walk of the CSC,
+    and the gblinear models' summed deltas are the columns of one product
+    with the CSR."""
 
     def __init__(self, models):
         self.n_cols = {m.n_cols for m in models}
@@ -745,7 +713,6 @@ class _Scorer:
             elif m.learners:
                 linear.append(i)
         self.forest = _Forest(trees) if trees else None
-        self.features = self.forest.features if trees else np.empty(0, int)
         if trees:
             # leaves as boosting added them: times the learning rate, and in a
             # model's first tree to its base score (`raw + lr * out`)
@@ -761,31 +728,35 @@ class _Scorer:
         if deltas:
             self.weights = np.column_stack([d.weights for d in deltas])
 
-    def __call__(self, data) -> np.ndarray:
+    def __call__(self, data: SparseDataset) -> np.ndarray:
         for n_cols in self.n_cols - {data.n_cols}:
             raise DataError(f"column-count mismatch: model has {n_cols}, "
                             f"data has {data.n_cols}")
-        return np.concatenate([self._block(lookup) for lookup
-                               in _lookups(data, self.features)], axis=1)
+        if data.n_rows <= BLOCK_ROWS:
+            return self._block(data.to_csr(), data.to_csc())
+        csr = data.to_csr()
+        blocks = (csr[a:a + BLOCK_ROWS] for a in range(0, data.n_rows,
+                                                        BLOCK_ROWS))
+        return np.concatenate([self._block(b, b.tocsc()) for b in blocks],
+                              axis=1)
 
-    def _block(self, lookup: ValueLookup):
-        raw = np.repeat(self.base[:, None], lookup.n_rows, axis=1)
-        leaves = self.forest.leaf_values(lookup) if self.spans else None
+    def _block(self, csr, csc):
+        raw = np.repeat(self.base[:, None], csr.shape[0], axis=1)
+        leaves = self.forest.leaf_values(csc) if self.spans else None
         for i, a, b in self.spans:
             # accumulate adds the trees in order; a pairwise sum would change
             # the last bits
             raw[i] = np.add.accumulate(leaves[a:b], axis=0)[-1]
         if self.linear.size:
             i = self.linear
-            raw[i] += self.lr[i, None] * (self.bias
-                                          + (lookup.csr @ self.weights).T)
+            raw[i] += self.lr[i, None] * (self.bias + (csr @ self.weights).T)
         raw[self.logistic] = expit(raw[self.logistic])
         return raw
 
 
-def predict_gbm(model: GbmModel, data) -> np.ndarray:
-    """Predict with every learner of the model, as a `_Scorer` of it alone,
-    on a SparseDataset or a ValueLookup covering the model's split features.
-    Logistic models return probabilities in (0, 1); quadratic models return
-    raw scores, tree outputs added in order, as training added them."""
+def predict_gbm(model: GbmModel, data: SparseDataset) -> np.ndarray:
+    """Predict every row of `data` with every learner of the model, as a
+    `_Scorer` of it alone. Logistic models return probabilities in (0, 1);
+    quadratic models return raw scores, tree outputs added in order, as
+    training added them."""
     return _Scorer([model])(data)[0]

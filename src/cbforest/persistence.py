@@ -7,8 +7,10 @@ column order. It also holds the run config. What training learned besides
 the model is the run's `TrainingRecord`; its reports live in the TSV files
 beside the archive. Trees are checked on load, so a walk of any loaded tree
 ends at one of its leaves, and so is the rest of the model: every bundle has
-base models, and every layer-2 vector has an intercept and one coefficient
-per column of the manifest.
+base models, each base model has a known booster and loss, learners of its
+booster's kind and finite numbers wherever the scorer reads one, and every
+layer-2 vector has an intercept and one finite coefficient per column of
+the manifest.
 
 Floats round-trip exactly through Python's json (repr-based), so a saved
 model reproduces its in-memory predictions bit for bit.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import CbfModel, Layer1Bundle
-from .gbm import DecisionTree, GbmModel, LinearDelta
+from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, DecisionTree,
+                  GbmModel, LinearDelta)
 
 FORMAT_VERSION = 3
 
@@ -45,18 +49,23 @@ _TREE_KINDS = {"feature": "i", "threshold": "if", "default_left": "b",
                "left": "i", "value": "if"}
 
 
+def _malformed_tree(reason):
+    return PersistenceError(f"malformed archive: malformed tree: {reason}")
+
+
 def _tree_from_dict(d, n_cols) -> DecisionTree:
     """A stored tree, checked so that every walk of it ends at one of its
-    leaves, having read only features below `n_cols`."""
+    leaves, having read only features below `n_cols`, and that no threshold
+    is NaN and every value is finite."""
     if not isinstance(d, dict) or set(d) != set(_TREE_KINDS):
-        raise PersistenceError("malformed tree: expected the arrays "
-                               + ", ".join(DecisionTree.ARRAYS))
+        raise _malformed_tree("expected the arrays "
+                              + ", ".join(DecisionTree.ARRAYS))
     arrays = {name: np.asarray(d[name]) for name in DecisionTree.ARRAYS}
     n = arrays["left"].size
     if n == 0 or any(a.shape != (n,) or a.dtype.kind not in _TREE_KINDS[name]
                      for name, a in arrays.items()):
-        raise PersistenceError("malformed tree: its arrays differ in length "
-                               "or hold entries of the wrong type")
+        raise _malformed_tree("its arrays differ in length or hold entries "
+                              "of the wrong type")
     tree = DecisionTree(
         feature=arrays["feature"].astype(np.int64),
         threshold=arrays["threshold"].astype(np.float64),
@@ -66,19 +75,35 @@ def _tree_from_dict(d, n_cols) -> DecisionTree:
     split = np.flatnonzero(tree.left != -1)
     child = tree.left[split]
     if ((child <= split) | (child + 1 >= n)).any():
-        raise PersistenceError("malformed tree: a child index is out of range "
-                               "or does not point past its parent")
+        raise _malformed_tree("a child index is out of range or does not "
+                              "point past its parent")
     f = tree.feature[split]
     if ((f < 0) | (f >= n_cols)).any():
-        raise PersistenceError(
-            f"malformed tree: a split feature is not below n_cols {n_cols}")
+        raise _malformed_tree(f"a split feature is not below n_cols {n_cols}")
+    if np.isnan(tree.threshold).any() or not np.isfinite(tree.value).all():
+        raise _malformed_tree("a threshold is NaN or a value is not finite")
     return tree
 
 
-def _learner_from_dict(d, n_cols):
-    if "tree" in d:
-        return _tree_from_dict(d["tree"], n_cols)
-    return LinearDelta(bias=d["bias"], weights=np.asarray(d["weights"]))
+def _is_finite_number(x):
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _linear_from_dict(d, n_cols) -> LinearDelta:
+    weights = np.asarray(d["weights"])
+    if not _is_finite_number(d["bias"]):
+        raise PersistenceError("malformed archive: a linear learner's bias is "
+                               "not a finite number")
+    if (weights.shape != (n_cols,) or weights.dtype.kind not in "if"
+            or not np.isfinite(weights).all()):
+        raise PersistenceError(f"malformed archive: a linear learner's "
+                               f"weights are not {n_cols} finite numbers")
+    return LinearDelta(bias=d["bias"], weights=weights)
+
+
+# the keys of a stored learner of each booster
+_LEARNER_KEYS = {GBTREE: {"tree"}, GBLINEAR: {"bias", "weights"}}
 
 
 def _gbm_to_dict(m: GbmModel):
@@ -88,12 +113,30 @@ def _gbm_to_dict(m: GbmModel):
 
 
 def _gbm_from_dict(d):
-    return GbmModel(booster=d["booster"], loss=d["loss"],
-                    base_score=d["base_score"],
+    """A stored base model, checked so that the scorer can score it: a known
+    booster and loss, learners of the booster's kind, and finite numbers
+    wherever it reads one."""
+    booster, loss, n_cols = d["booster"], d["loss"], d["n_cols"]
+    if booster not in _LEARNER_KEYS:
+        raise PersistenceError(
+            f"malformed archive: a base model has unknown booster {booster!r}")
+    if loss not in (LOGISTIC, QUADRATIC):
+        raise PersistenceError(
+            f"malformed archive: a base model has unknown loss {loss!r}")
+    for name in ("base_score", "learning_rate"):
+        if not _is_finite_number(d[name]):
+            raise PersistenceError(f"malformed archive: a base model's {name} "
+                                   f"is not a finite number")
+    if any(set(l) != _LEARNER_KEYS[booster] for l in d["learners"]):
+        raise PersistenceError(f"malformed archive: a {booster} model holds a "
+                               f"learner of another booster")
+    return GbmModel(booster=booster, loss=loss, base_score=d["base_score"],
                     learning_rate=d["learning_rate"],
-                    learners=[_learner_from_dict(l, d["n_cols"])
+                    learners=[_tree_from_dict(l["tree"], n_cols)
+                              if booster == GBTREE
+                              else _linear_from_dict(l, n_cols)
                               for l in d["learners"]],
-                    n_cols=d["n_cols"])
+                    n_cols=n_cols)
 
 
 def model_to_dict(model: CbfModel):
@@ -129,6 +172,9 @@ def model_from_dict(d) -> CbfModel:
             raise PersistenceError(
                 f"malformed archive: a layer-2 coefficient vector has length "
                 f"{len(b)}, not 1 + {width - 1} columns")
+        if not all(map(_is_finite_number, b)):
+            raise PersistenceError("malformed archive: a layer-2 coefficient "
+                                   "is not a finite number")
     return CbfModel(
         bundles=[Layer1Bundle(label_kind=b["label_kind"],
                               models=[[_gbm_from_dict(m) for m in row]

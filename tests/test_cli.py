@@ -466,6 +466,55 @@ def _wider_base_model(doc):
     doc["model"]["bundles"][0]["models"][0][0]["n_cols"] += 1
 
 
+def _base_model(doc, booster):
+    """The first stored base model of `booster` that has learners."""
+    return next(m for b in doc["model"]["bundles"] for row in b["models"]
+                for m in row if m["booster"] == booster and m["learners"])
+
+
+def _short_linear_weights(doc):
+    _base_model(doc, "gblinear")["learners"][0]["weights"].pop()
+
+
+def _string_linear_bias(doc):
+    _base_model(doc, "gblinear")["learners"][0]["bias"] = "0.5"
+
+
+def _linear_learner_in_a_tree_model(doc):
+    _base_model(doc, "gbtree")["learners"].append(
+        _base_model(doc, "gblinear")["learners"][0])
+
+
+def _dart_booster(doc):
+    _base_model(doc, "gbtree")["booster"] = "dart"
+
+
+def _hinge_loss(doc):
+    _base_model(doc, "gbtree")["loss"] = "hinge"
+
+
+def _null_base_score(doc):
+    _base_model(doc, "gbtree")["base_score"] = None
+
+
+def _string_learning_rate(doc):
+    _base_model(doc, "gblinear")["learning_rate"] = "0.1"
+
+
+def _nan_leaf_value(doc):
+    tree = _first_stored_tree(doc)
+    tree["value"][tree["left"].index(-1)] = float("nan")
+
+
+def _nan_layer2_coefficient(doc):
+    doc["model"]["layer2_betas"][0][1] = float("nan")
+
+
+def _nan_threshold(doc):
+    tree = _first_stored_tree(doc)
+    tree["threshold"][_split_node(tree)] = float("nan")
+
+
 @pytest.mark.parametrize("edit, message", [
     (_no_bundles, "it has no bundles"),
     (_empty_fold_row, "a bundle has no base models"),
@@ -474,13 +523,29 @@ def _wider_base_model(doc):
     (_short_fold_row, "its rows of base models differ in fold count"),
     (_wider_base_model, "its rows of base models differ in fold count or "
                         "column count"),
+    (_short_linear_weights, "a linear learner's weights are not 64 finite "
+                            "numbers"),
+    (_string_linear_bias, "a linear learner's bias is not a finite number"),
+    (_linear_learner_in_a_tree_model, "a gbtree model holds a learner of "
+                                      "another booster"),
+    (_dart_booster, "a base model has unknown booster 'dart'"),
+    (_hinge_loss, "a base model has unknown loss 'hinge'"),
+    (_null_base_score, "a base model's base_score is not a finite number"),
+    (_string_learning_rate, "a base model's learning_rate is not a finite "
+                            "number"),
+    (_nan_leaf_value, "malformed tree: a threshold is NaN or a value is not "
+                      "finite"),
+    (_nan_threshold, "malformed tree: a threshold is NaN or a value is not "
+                     "finite"),
+    (_nan_layer2_coefficient, "a layer-2 coefficient is not a finite number"),
 ])
 def test_predict_rejects_an_archive_it_cannot_score_with(
         tiny_run, tiny_dataset, tmp_path, capsys, edit, message):
     path = _edited_archive(tiny_run, tmp_path, edit, rechecksum=True)
     assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
-    assert capsys.readouterr().err.startswith(
-        f"archive error: malformed archive: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"archive error: malformed archive: {message}")
+    assert err.count("\n") == 1
 
 
 def test_model_dict_is_json_serializable(tiny_run):

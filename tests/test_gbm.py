@@ -9,14 +9,15 @@ from scipy.special import expit
 
 from _oracles import (boosted_trees_oracle, breadth_first,
                       column_sweep_oracle, depth_first_tree_oracle,
-                      exact_greedy_tree_oracle, gbm_prediction_oracle)
+                      exact_greedy_tree_oracle, gbm_prediction_oracle,
+                      tree_walk_oracle)
 from cbforest import gbm, persistence
 from cbforest.data import LabelMapping, SparseDataset, binarize, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearDelta,
                           LinearHyperParams, TrainingError, TreeHyperParams,
                           _Columns, build_linear_delta, build_tree, grad_hess,
-                          lookup_blocks, predict_gbm, predict_tree, train_gbm)
+                          predict_gbm, predict_tree, train_gbm)
 from cbforest.metrics import MetricSpec, logloss, oriented_score
 
 # frozen with an independent high-precision evaluator (mpmath, 30 digits)
@@ -772,15 +773,73 @@ def _flat(nested):
     return DecisionTree(**{k: np.array(v) for k, v in arrays.items()})
 
 
-def _random_nested_tree(r, col_values, depth):
+def _random_nested_tree(r, col_values, depth, features=None):
+    """A random nested tree splitting on the columns of `col_values`, or,
+    given `features`, on `features[j]` for its column j."""
     if depth == 0 or r.random() < 0.2:
         return ("leaf", float(r.normal()))
     f = int(r.integers(len(col_values)))
     # a stored value equal to the threshold goes right
     threshold = float(r.choice(col_values[f])) + float(r.choice([0.0, 0.5]))
-    return ("split", f, threshold, bool(r.random() < 0.5),
-            _random_nested_tree(r, col_values, depth - 1),
-            _random_nested_tree(r, col_values, depth - 1))
+    return ("split", f if features is None else features[f], threshold,
+            bool(r.random() < 0.5),
+            _random_nested_tree(r, col_values, depth - 1, features),
+            _random_nested_tree(r, col_values, depth - 1, features))
+
+
+def _assert_boosted_like_the_oracle(trees, rows, ds, case, r):
+    """`predict_gbm` of `trees` and of their first half and none, under
+    either loss, equals `boosted_trees_oracle` bit for bit."""
+    loss = LOGISTIC if case % 2 else QUADRATIC
+    base_score = float(r.normal())
+    learning_rate = float(r.choice([0.1, 0.3, 1.0]))
+    for rounds in (len(trees), len(trees) // 2, 0):
+        cut = trees[:rounds]
+        model = GbmModel(booster=GBTREE, loss=loss, base_score=base_score,
+                         learning_rate=learning_rate,
+                         learners=[_flat(t) for t in cut], n_cols=ds.n_cols)
+        raw = np.array(boosted_trees_oracle(cut, rows, base_score,
+                                            learning_rate))
+        expected = expit(raw) if loss == LOGISTIC else raw
+        assert predict_gbm(model, ds).tobytes() == expected.tobytes(), \
+            f"case {case}, rounds {rounds}"
+
+
+def _defaults_of_splits(tree):
+    if tree[0] == "leaf":
+        return set()
+    return ({tree[3]} | _defaults_of_splits(tree[4])
+            | _defaults_of_splits(tree[5]))
+
+
+def _assert_walks_far_apart_features_like_the_oracle(split_on):
+    """Trees that split on `split_on` walk like the oracle over rows that
+    store all of those features (every third row), a random part of them
+    or none of them, among up to 30 other stored columns."""
+    r = np.random.default_rng(split_on[-1])
+    defaults = set()
+    for case in range(12):
+        n_cols = int(r.integers(split_on[-1] + 1, 2001))
+        col_values = [COLUMN_VALUES[k]
+                      for k in r.choice(list(COLUMN_VALUES), size=n_cols)]
+        rows = []
+        for i in range(int(r.integers(1, 40))):
+            others = set(r.choice(n_cols, size=int(r.integers(0, 30))).tolist())
+            kept = [f for f in split_on
+                    if i % 3 == 0 or (i % 3 == 1 and r.random() < 0.5)]
+            stored = sorted((others - set(split_on)) | set(kept))
+            rows.append({j: float(r.choice(col_values[j])) for j in stored})
+        trees = [_random_nested_tree(r, [col_values[f] for f in split_on],
+                                     int(r.integers(1, 6)), split_on)
+                 for _ in range(1 + case % 5)]
+        ds = SparseDataset.from_rows([sorted(row.items()) for row in rows],
+                                     n_cols=n_cols)
+        for tree in trees:
+            defaults |= _defaults_of_splits(tree)
+            expected = [tree_walk_oracle(tree, row) for row in rows]
+            assert predict_tree(_flat(tree), ds).tolist() == expected
+        _assert_boosted_like_the_oracle(trees, rows, ds, case, r)
+    assert defaults == {False, True}
 
 
 def test_predict_gbm_matches_tree_walk_oracle():
@@ -803,23 +862,14 @@ def test_predict_gbm_matches_tree_walk_oracle():
             trees.insert(int(r.integers(len(trees))), ("leaf", 0.0))
         ds = SparseDataset.from_rows([sorted(row.items()) for row in rows],
                                      n_cols=n_cols)
-        loss = LOGISTIC if case % 2 else QUADRATIC
-        base_score = float(r.normal())
-        learning_rate = float(r.choice([0.1, 0.3, 1.0]))
-        for rounds in (len(trees), len(trees) // 2, 0):
-            cut = trees[:rounds]
-            model = GbmModel(booster=GBTREE, loss=loss, base_score=base_score,
-                             learning_rate=learning_rate,
-                             learners=[_flat(t) for t in cut], n_cols=n_cols)
-            raw = np.array(boosted_trees_oracle(cut, rows, base_score,
-                                                learning_rate))
-            expected = expit(raw) if loss == LOGISTIC else raw
-            assert np.array_equal(predict_gbm(model, ds), expected), \
-                f"case {case}, rounds {rounds}"
-            shared = np.concatenate([
-                predict_gbm(model, lookup)
-                for lookup in lookup_blocks(ds, np.arange(n_cols))])
-            assert np.array_equal(shared, expected)
+        _assert_boosted_like_the_oracle(trees, rows, ds, case, r)
+
+    # up to 2,000 columns, trees that split on a few far-apart features, and
+    # rows that store all, some or none of them among other columns: the
+    # walk reads each split feature from its own row of the block's table
+    for split_on in ([0, 777, 1999], [1999], [3, 4, 1024],
+                     [5, 600, 1400, 1998]):
+        _assert_walks_far_apart_features_like_the_oracle(split_on)
 
 
 def _assert_scored_like_one_model_at_a_time(models, data):
