@@ -56,6 +56,12 @@ def _write_tsv(f, header, rows):
         f.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
+def _cannot_write(path, e):
+    """Report a failed write of `path` by the name the user gave."""
+    print(f"cannot write output: {path}: {e.strerror or e}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_train(args):
     try:
         with open(args.config) as f:
@@ -80,34 +86,36 @@ def cmd_train(args):
         print(f"training error: {e}", file=sys.stderr)
         return EXIT_TRAINING
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_archive(out / "model.cbf", result.model, config.to_dict())
-
     sel = result.record.layer2
-    header = (["candidate", "lambda1", "lambda2"]
-              + [f"cv_fold_{k}" for k in range(result.record.folds.K)]
-              + ["cv_mean", "selected"])
-    rows = []
-    for h, cand in enumerate(sel.candidates):
-        rows.append([h, cand.lambda1, cand.lambda2]
-                    + list(sel.cv.per_fold[h])
-                    + [float(sel.cv.mean[h]),
-                       1 if h == sel.selected_index else 0])
-    with replaced_atomically(out / "cv_scores.tsv") as f:
-        _write_tsv(f, header, rows)
-
-    with replaced_atomically(out / "metrics.tsv") as f:
-        _write_tsv(f, ["metric", "train", "valid", "test"],
-                   [[name, row["train"], row["valid"], row["test"]]
-                    for name, row in result.metrics_report.items()])
-
     rel = result.reliability
-    with replaced_atomically(out / "reliability.tsv") as f:
-        _write_tsv(f, ["bin", "count", "mean_predicted", "positive_rate"],
-                   [[b, int(rel.counts[b]), float(rel.mean_predicted[b]),
-                     float(rel.positive_rate[b])]
-                    for b in range(len(rel.counts))])
+    reports = {
+        "cv_scores.tsv": (
+            ["candidate", "lambda1", "lambda2"]
+            + [f"cv_fold_{k}" for k in range(result.record.folds.K)]
+            + ["cv_mean", "selected"],
+            [[h, cand.lambda1, cand.lambda2] + list(sel.cv.per_fold[h])
+             + [float(sel.cv.mean[h]), 1 if h == sel.selected_index else 0]
+             for h, cand in enumerate(sel.candidates)]),
+        "metrics.tsv": (
+            ["metric", "train", "valid", "test"],
+            [[name, row["train"], row["valid"], row["test"]]
+             for name, row in result.metrics_report.items()]),
+        "reliability.tsv": (
+            ["bin", "count", "mean_predicted", "positive_rate"],
+            [[b, int(rel.counts[b]), float(rel.mean_predicted[b]),
+              float(rel.positive_rate[b])] for b in range(len(rel.counts))])}
+
+    out = path = Path(config.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / "model.cbf"
+        save_archive(path, result.model, config.to_dict())
+        for name, (header, rows) in reports.items():
+            path = out / name
+            with replaced_atomically(path) as f:
+                _write_tsv(f, header, rows)
+    except OSError as e:
+        return _cannot_write(path, e)
     print(f"wrote model and reports to {out} "
           f"(reliability table computed on the {result.reliability_split} split)")
     return 0
@@ -128,12 +136,11 @@ def cmd_predict(args):
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     try:
-        with open(args.output, "w") as f:
+        with replaced_atomically(args.output) as f:
             _write_tsv(f, ["row_id", "probability"],
                        [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
     except OSError as e:
-        print(f"cannot write output: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _cannot_write(args.output, e)
     return 0
 
 

@@ -91,8 +91,8 @@ class DecisionTree:
     it and `default_left[i]`; any other row goes to node `left[i] + 1`. A leaf
     has `left[i] == -1` and predicts `value[i]`; its other entries are
     placeholders (feature -1, threshold 0.0, default_left False), as is
-    `value` at a split. Both children of a node follow it in id order:
-    breadth-first from `build_tree`, depth-first in older archives.
+    `value` at a split. `build_tree` numbers nodes breadth-first; a walk
+    needs only that both children of a node follow it in id order.
     """
 
     feature: np.ndarray

@@ -1,4 +1,9 @@
-"""Model archive: a self-describing JSON document with a content checksum.
+"""Model archive: a header line, then one line of JSON with the payload.
+
+The header is `{"format_version": 4, "sha256": <hex>}`, the SHA-256 of every
+byte after the header's newline. The payload is `{"config": ..., "model":
+...}`, encoded once, with sorted keys and no spaces. Loading hashes the bytes
+as read, so the checksum covers exactly what is parsed.
 
 The archive holds a `CbfModel`, which is only what `predict_cbf` reads: per
 bundle its label kind and base models (each tree as its flat node arrays, a
@@ -19,18 +24,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from .config import _is_number
 from .ensemble import CbfModel, Layer1Bundle
 from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, DecisionTree,
                   GbmModel, LinearDelta)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class PersistenceError(ValueError):
@@ -85,14 +90,9 @@ def _tree_from_dict(d, n_cols) -> DecisionTree:
     return tree
 
 
-def _is_finite_number(x):
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
 def _linear_from_dict(d, n_cols) -> LinearDelta:
     weights = np.asarray(d["weights"])
-    if not _is_finite_number(d["bias"]):
+    if not _is_number(d["bias"]):
         raise PersistenceError("malformed archive: a linear learner's bias is "
                                "not a finite number")
     if (weights.shape != (n_cols,) or weights.dtype.kind not in "if"
@@ -124,7 +124,7 @@ def _gbm_from_dict(d):
         raise PersistenceError(
             f"malformed archive: a base model has unknown loss {loss!r}")
     for name in ("base_score", "learning_rate"):
-        if not _is_finite_number(d[name]):
+        if not _is_number(d[name]):
             raise PersistenceError(f"malformed archive: a base model's {name} "
                                    f"is not a finite number")
     if any(set(l) != _LEARNER_KEYS[booster] for l in d["learners"]):
@@ -151,9 +151,7 @@ def model_to_dict(model: CbfModel):
 
 
 def model_from_dict(d) -> CbfModel:
-    """The model a stored document describes. An older archive may also hold
-    `use_layer2_refit`; when true its one beta is a refit, which predicts as
-    the average of one model, so the key is ignored."""
+    """The model a stored document describes."""
     if not d["bundles"]:
         raise PersistenceError("malformed archive: it has no bundles")
     if not all(b["models"] and all(b["models"]) for b in d["bundles"]):
@@ -172,7 +170,7 @@ def model_from_dict(d) -> CbfModel:
             raise PersistenceError(
                 f"malformed archive: a layer-2 coefficient vector has length "
                 f"{len(b)}, not 1 + {width - 1} columns")
-        if not all(map(_is_finite_number, b)):
+        if not all(map(_is_number, b)):
             raise PersistenceError("malformed archive: a layer-2 coefficient "
                                    "is not a finite number")
     return CbfModel(
@@ -184,19 +182,17 @@ def model_from_dict(d) -> CbfModel:
         column_order=[tuple(c) for c in d["column_order"]])
 
 
-def _payload_checksum(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @contextmanager
 def replaced_atomically(path):
     """A text file written beside `path`, synced and moved over it when the
-    block ends; a failed write leaves `path` as it was and no file behind."""
-    path = Path(path)
+    block ends; a failed write leaves `path` as it was and no file behind.
+    Lines end in "\\n" on every platform, so the bytes an archive's checksum
+    covers are the bytes written. A symbolic link is written through, not
+    replaced."""
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", newline="\n") as f:
             yield f
             f.flush()
             os.fsync(f.fileno())
@@ -208,31 +204,30 @@ def replaced_atomically(path):
 
 def save_archive(path, model: CbfModel, config_dict):
     """Write the archive atomically (`replaced_atomically`)."""
-    payload = {"format_version": FORMAT_VERSION, "config": config_dict,
-               "model": model_to_dict(model)}
-    doc = dict(payload)
-    doc["checksum"] = _payload_checksum(payload)
+    # json.dumps, unlike json.dump, runs the C encoder
+    payload = json.dumps({"config": config_dict, "model": model_to_dict(model)},
+                         sort_keys=True, separators=(",", ":")) + "\n"
+    header = {"format_version": FORMAT_VERSION,
+              "sha256": hashlib.sha256(payload.encode()).hexdigest()}
     with replaced_atomically(path) as f:
-        # json.dumps, unlike json.dump, runs the C encoder
-        f.write(json.dumps(doc, sort_keys=True) + "\n")
+        f.write(json.dumps(header) + "\n" + payload)
 
 
 def load_archive(path):
     """Load and checksum-verify an archive; returns (model, config_dict)."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        with open(path, "rb") as f:
+            header = json.loads(f.readline())
+            payload = f.read()
+    except (OSError, ValueError) as e:
         raise PersistenceError(f"cannot read archive: {e}")
-    if not isinstance(doc, dict) or "checksum" not in doc:
-        raise PersistenceError("archive has no checksum")
-    stored = doc.pop("checksum")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise PersistenceError(
-            f"unsupported archive format_version {doc.get('format_version')!r}")
-    if _payload_checksum(doc) != stored:
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise PersistenceError(f"unsupported archive format_version {version!r}")
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
         raise PersistenceError("archive checksum mismatch")
     try:
+        doc = json.loads(payload)
         return model_from_dict(doc["model"]), doc["config"]
     except PersistenceError:
         raise

@@ -18,14 +18,14 @@ from cbforest import cli
 from cbforest.cli import main
 from cbforest.config import (DEFAULT_RANGES, ConfigError, LabelConfig,
                              Layer2Config, RunConfig)
-from cbforest.elastic_net import fit_elastic_net, predict_proba
-from cbforest.ensemble import CbfModel, layer1_feature_matrix, predict_cbf
+from cbforest.elastic_net import fit_elastic_net
+from cbforest.ensemble import CbfModel, predict_cbf
 from cbforest.gbm import (GBLINEAR, GBTREE, QUADRATIC, DecisionTree,
                           TreeHyperParams, grad_hess, predict_gbm,
                           predict_tree)
 from cbforest.metrics import MetricSpec
-from cbforest.persistence import (PersistenceError, _payload_checksum,
-                                  load_archive, model_to_dict, save_archive)
+from cbforest.persistence import (PersistenceError, load_archive,
+                                  model_to_dict, save_archive)
 
 from _oracles import breadth_first, depth_first_tree_oracle
 from conftest import tiny_config_dict
@@ -169,56 +169,27 @@ def test_archive_round_trip_bit_exact(tiny_run, tmp_path):
                           predict_cbf(result.model, result.train_data))
 
 
-@pytest.mark.parametrize("refit", [False, True])
-def test_archive_with_the_removed_refit_flag_loads(tiny_run, tmp_path, refit):
-    """Archives once stored `use_layer2_refit`; with it true they held the
-    one beta of a refit on all rows. Both shapes load and predict as the
-    mean over their betas."""
-    _, result = tiny_run
-    beta = np.mean(result.model.layer2_betas, axis=0)
-
-    def as_written_before(doc):
-        doc["model"]["use_layer2_refit"] = refit
-        if refit:
-            doc["model"]["layer2_betas"] = [beta.tolist()]
-
-    path = _edited_archive(tiny_run, tmp_path, as_written_before,
-                           rechecksum=True)
-    loaded, _ = load_archive(path)
-    data = result.train_data
-    if refit:
-        expected = predict_proba(beta,
-                                 layer1_feature_matrix(loaded, data))
-    else:
-        expected = predict_cbf(result.model, data)
-    assert predict_cbf(loaded, data).tobytes() == expected.tobytes()
+def _read_archive(path):
+    """The header and the payload of an archive, each as parsed JSON."""
+    header, payload = path.read_text().split("\n", 1)
+    return json.loads(header), json.loads(payload)
 
 
-def test_archive_checksum_detects_corruption(tiny_run, tmp_path):
-    config, result = tiny_run
-    path = tmp_path / "model.cbf"
-    save_archive(path, result.model, config.to_dict())
-    raw = path.read_bytes()
-    # flip one digit inside the payload
-    idx = raw.index(b'"base_score"')
-    corrupted = bytearray(raw)
-    for i in range(idx, len(raw)):
-        if chr(raw[i]).isdigit():
-            corrupted[i] = ord("9") if raw[i] != ord("9") else ord("8")
-            break
-    path.write_bytes(bytes(corrupted))
-    with pytest.raises(PersistenceError, match="checksum"):
-        load_archive(path)
+def _write_archive(path, header, payload):
+    """Write an archive of `payload`, encoded as `save_archive` encodes it,
+    under `header` with the payload's checksum stored."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    header = dict(header, sha256=hashlib.sha256(blob.encode()).hexdigest())
+    path.write_text(json.dumps(header) + "\n" + blob)
 
 
 def test_archive_rejects_unknown_format_version(tiny_run, tmp_path):
     config, result = tiny_run
     path = tmp_path / "model.cbf"
     save_archive(path, result.model, config.to_dict())
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 999
-    path.write_text(json.dumps(doc))
-    with pytest.raises(PersistenceError):
+    header, payload = _read_archive(path)
+    _write_archive(path, dict(header, format_version=999), payload)
+    with pytest.raises(PersistenceError, match="format_version 999"):
         load_archive(path)
 
 
@@ -236,8 +207,9 @@ def test_archive_holds_only_prediction_state(tiny_run, tmp_path):
     config, result = tiny_run
     path = tmp_path / "model.cbf"
     save_archive(path, result.model, config.to_dict())
-    doc = json.loads(path.read_text())
-    assert doc["format_version"] == 3
+    header, doc = _read_archive(path)
+    assert header["format_version"] == 4
+    assert set(doc) == {"config", "model"}
     boosters, past_optimum = set(), 0
     for bundle, record, stored in zip(result.model.bundles,
                                       result.record.bundles,
@@ -309,18 +281,28 @@ def test_failed_save_keeps_the_previous_archive(tiny_run, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["model.cbf"]
 
 
-def _edited_archive(tiny_run, tmp_path, edit, rechecksum=False):
-    """Save the tiny run's archive, apply `edit` to its JSON document, and
-    optionally store the checksum of the edited payload."""
+def _edited_archive(tiny_run, tmp_path, edit):
+    """Save the tiny run's archive, apply `edit` to its payload, and store the
+    checksum of the edited payload."""
     config, result = tiny_run
     path = tmp_path / "model.cbf"
     save_archive(path, result.model, config.to_dict())
-    doc = json.loads(path.read_text())
-    edit(doc)
-    if rechecksum:
-        doc.pop("checksum")
-        doc["checksum"] = _payload_checksum(doc)
-    path.write_text(json.dumps(doc))
+    header, payload = _read_archive(path)
+    edit(payload)
+    _write_archive(path, header, payload)
+    return path
+
+
+def _single_line_archive(tiny_run, tmp_path, version):
+    """The tiny run's model in the single-line layout of formats 1 to 3: one
+    JSON document holding the format version, the payload and its checksum."""
+    config, result = tiny_run
+    doc = {"format_version": version, "config": config.to_dict(),
+           "model": model_to_dict(result.model)}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(blob.encode()).hexdigest()
+    path = tmp_path / "model.cbf"
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
     return path
 
 
@@ -332,18 +314,69 @@ def _predict_exit_code(path, tiny_dataset, tmp_path):
 
 def test_predict_rejects_a_format_1_archive(tiny_run, tiny_dataset, tmp_path,
                                             capsys):
-    path = _edited_archive(tiny_run, tmp_path,
-                           lambda doc: doc.update(format_version=1))
+    path = _single_line_archive(tiny_run, tmp_path, 1)
     assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
     assert "format_version 1" in capsys.readouterr().err
 
 
 def test_predict_rejects_a_format_2_archive(tiny_run, tiny_dataset, tmp_path,
                                             capsys):
-    path = _edited_archive(tiny_run, tmp_path,
-                           lambda doc: doc.update(format_version=2))
+    path = _single_line_archive(tiny_run, tmp_path, 2)
     assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
     assert "format_version 2" in capsys.readouterr().err
+
+
+def _flip_a_payload_digit(path, tiny_run):
+    raw = bytearray(path.read_bytes())
+    i = raw.index(b'"base_score":') + len(b'"base_score":')
+    raw[i] = ord("9") if raw[i] != ord("9") else ord("8")
+    path.write_bytes(bytes(raw))
+
+
+def _flip_a_checksum_digit(path, tiny_run):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    i = header.index(b'"sha256": "') + len(b'"sha256": "')
+    header = bytearray(header)
+    header[i] = ord("0") if header[i] != ord("0") else ord("1")
+    path.write_bytes(bytes(header) + b"\n" + payload)
+
+
+def _cut_the_payload_short(path, tiny_run):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _empty_the_file(path, tiny_run):
+    path.write_bytes(b"")
+
+
+def _header_not_json(path, tiny_run):
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(b"cbforest model\n" + payload)
+
+
+def _written_by_format_3(path, tiny_run):
+    _single_line_archive(tiny_run, path.parent, 3)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_flip_a_payload_digit, "archive checksum mismatch"),
+    (_flip_a_checksum_digit, "archive checksum mismatch"),
+    (_cut_the_payload_short, "archive checksum mismatch"),
+    (_empty_the_file, "cannot read archive: "),
+    (_header_not_json, "cannot read archive: "),
+    (_written_by_format_3, "unsupported archive format_version 3"),
+], ids=["payload_digit", "checksum_digit", "payload_cut_short", "empty_file",
+        "header_not_json", "format_3"])
+def test_predict_rejects_a_damaged_or_older_archive(
+        tiny_run, tiny_dataset, tmp_path, capsys, damage, message):
+    config, result = tiny_run
+    path = tmp_path / "model.cbf"
+    save_archive(path, result.model, config.to_dict())
+    damage(path, tiny_run)
+    assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"archive error: {message}")
+    assert err.count("\n") == 1
 
 
 def _first_stored_tree(doc):
@@ -383,8 +416,7 @@ def _feature_past_n_cols(doc):
 
 def test_predict_rejects_a_tree_child_out_of_range(tiny_run, tiny_dataset,
                                                    tmp_path, capsys):
-    path = _edited_archive(tiny_run, tmp_path, _child_out_of_range,
-                           rechecksum=True)
+    path = _edited_archive(tiny_run, tmp_path, _child_out_of_range)
     assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
     assert "child index" in capsys.readouterr().err
 
@@ -393,7 +425,7 @@ def test_predict_rejects_a_tree_child_out_of_range(tiny_run, tiny_dataset,
                                   _arrays_differ_in_length,
                                   _feature_past_n_cols])
 def test_archive_rejects_malformed_trees(tiny_run, tmp_path, edit):
-    path = _edited_archive(tiny_run, tmp_path, edit, rechecksum=True)
+    path = _edited_archive(tiny_run, tmp_path, edit)
     with pytest.raises(PersistenceError, match="malformed tree"):
         load_archive(path)
 
@@ -407,8 +439,9 @@ def _all_predictions(model, data):
 
 def test_depth_first_and_breadth_first_trees_load_and_predict_alike(
         tiny_run, tmp_path):
-    """Format-3 archives written before trees were numbered breadth-first
-    hold them depth-first; both orders load and predict bit for bit alike."""
+    """A tree numbered depth-first, with a node's children at the next two
+    free ids in preorder, loads and predicts bit for bit as its breadth-first
+    twin: a walk needs only that children follow their parent."""
     config, result = tiny_run
     data = result.train_data
     r = np.random.default_rng(3)
@@ -427,8 +460,7 @@ def test_depth_first_and_breadth_first_trees_load_and_predict_alike(
             _first_stored_tree(doc).update(
                 {name: getattr(tree, name).tolist()
                  for name in DecisionTree.ARRAYS})
-        loaded, _ = load_archive(_edited_archive(tiny_run, tmp_path, put,
-                                                 rechecksum=True))
+        loaded, _ = load_archive(_edited_archive(tiny_run, tmp_path, put))
         predictions.append(_all_predictions(loaded, data))
     assert predictions[0] == predictions[1]
     assert predictions[0] != _all_predictions(result.model, data)
@@ -437,7 +469,7 @@ def test_depth_first_and_breadth_first_trees_load_and_predict_alike(
 def test_archive_rejects_a_missing_field(tiny_run, tmp_path):
     def drop_n_cols(doc):
         del doc["model"]["bundles"][0]["models"][0][0]["n_cols"]
-    path = _edited_archive(tiny_run, tmp_path, drop_n_cols, rechecksum=True)
+    path = _edited_archive(tiny_run, tmp_path, drop_n_cols)
     with pytest.raises(PersistenceError, match="malformed archive"):
         load_archive(path)
 
@@ -510,6 +542,14 @@ def _nan_layer2_coefficient(doc):
     doc["model"]["layer2_betas"][0][1] = float("nan")
 
 
+def _huge_base_score(doc):
+    _base_model(doc, "gbtree")["base_score"] = 10**400
+
+
+def _huge_layer2_coefficient(doc):
+    doc["model"]["layer2_betas"][0][1] = 10**400
+
+
 def _nan_threshold(doc):
     tree = _first_stored_tree(doc)
     tree["threshold"][_split_node(tree)] = float("nan")
@@ -531,6 +571,7 @@ def _nan_threshold(doc):
     (_dart_booster, "a base model has unknown booster 'dart'"),
     (_hinge_loss, "a base model has unknown loss 'hinge'"),
     (_null_base_score, "a base model's base_score is not a finite number"),
+    (_huge_base_score, "a base model's base_score is not a finite number"),
     (_string_learning_rate, "a base model's learning_rate is not a finite "
                             "number"),
     (_nan_leaf_value, "malformed tree: a threshold is NaN or a value is not "
@@ -538,10 +579,11 @@ def _nan_threshold(doc):
     (_nan_threshold, "malformed tree: a threshold is NaN or a value is not "
                      "finite"),
     (_nan_layer2_coefficient, "a layer-2 coefficient is not a finite number"),
+    (_huge_layer2_coefficient, "a layer-2 coefficient is not a finite number"),
 ])
 def test_predict_rejects_an_archive_it_cannot_score_with(
         tiny_run, tiny_dataset, tmp_path, capsys, edit, message):
-    path = _edited_archive(tiny_run, tmp_path, edit, rechecksum=True)
+    path = _edited_archive(tiny_run, tmp_path, edit)
     assert _predict_exit_code(path, tiny_dataset, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"archive error: malformed archive: {message}")
@@ -558,9 +600,11 @@ def test_model_dict_is_json_serializable(tiny_run):
 @pytest.mark.parametrize("report", ["cv_scores.tsv", "metrics.tsv",
                                     "reliability.tsv"])
 def test_failed_report_write_keeps_the_previous_report(report, tiny_run,
-                                                       tmp_path, monkeypatch):
-    """A train whose write of a report fails midway leaves the reports of
-    the previous train as they were, and no temporary file behind."""
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    """A train whose write of a report fails midway exits 1 and leaves the
+    reports of the previous train as they were, and no temporary file
+    behind."""
     config, result = tiny_run
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(config.to_dict(),
@@ -584,10 +628,29 @@ def test_failed_report_write_keeps_the_previous_report(report, tiny_run,
         return fmt(v)
 
     monkeypatch.setattr(cli, "_fmt", failing_fmt)
-    with pytest.raises(OSError, match="no space"):
-        main(["train", "--config", str(path)])
+    assert run_cli(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (f"cannot write output: "
+                                       f"{tmp_path / 'out' / report}: "
+                                       f"no space left on device\n")
     assert {p.name: p.read_bytes()
             for p in (tmp_path / "out").iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["model.cbf", "cv_scores.tsv"])
+def test_train_output_that_cannot_be_written_exits_one(
+        name, tiny_run, tmp_path, capsys, monkeypatch):
+    """An output that is a directory ends the train with one
+    `cannot write output:` line naming it, not a traceback."""
+    config, result = tiny_run
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(config.to_dict(),
+                                    output_dir=str(tmp_path / "out"))))
+    (tmp_path / "out" / name).mkdir(parents=True)
+    monkeypatch.setattr(cli, "run_cbf", lambda config: result)
+    assert run_cli(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write output: {tmp_path / 'out' / name}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -659,7 +722,7 @@ def test_train_rerun_byte_identical(cli_train, tiny_dataset, tmp_path):
 # scipy 1.17.1, x86-64).
 TRAIN_DIGESTS = {
     "model.cbf":
-        "3dabbba116a757681cc8f0d4545738849b0886aefee98f78f351be0e3d1b4da1",
+        "334815af72b134ca26115a015f12823066a17e197c3ac0aec79f1e0b1956e804",
     "cv_scores.tsv":
         "c2298303aa9a9fd0247b79e49128eb06af44f9562d0665552d6937f86af2e012",
     "metrics.tsv":
@@ -888,6 +951,38 @@ def test_predict_unwritable_output_exits_one(cli_train, tiny_dataset,
         assert err.startswith("cannot write output: ")
         assert str(path) in err and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_failed_predict_write_keeps_the_previous_output(
+        cli_train, tiny_dataset, tmp_path, capsys, monkeypatch):
+    _, out, _ = cli_train
+    path = tmp_path / "scores.tsv"
+    argv = ["predict", "--model", str(out / "model.cbf"),
+            "--input", tiny_dataset["path"], "--output", str(path)]
+    assert run_cli(argv) == 0
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (f"cannot write output: {path}: "
+                                       f"no space left on device\n")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.tsv"]
+
+
+def test_predict_writes_through_a_symbolic_link(cli_train, tiny_dataset,
+                                                tmp_path):
+    _, out, _ = cli_train
+    (tmp_path / "link.tsv").symlink_to(tmp_path / "scores.tsv")
+    assert run_cli(["predict", "--model", str(out / "model.cbf"),
+                    "--input", tiny_dataset["path"],
+                    "--output", str(tmp_path / "link.tsv")]) == 0
+    assert (tmp_path / "link.tsv").is_symlink()
+    assert (tmp_path / "scores.tsv").read_text().startswith(
+        "row_id\tprobability\n")
 
 
 def test_predict_contract(cli_train, tiny_dataset, tmp_path):
