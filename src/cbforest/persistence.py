@@ -186,9 +186,13 @@ def model_from_dict(d) -> CbfModel:
 def replaced_atomically(path):
     """A text file written beside `path`, synced and moved over it when the
     block ends; a failed write leaves `path` as it was and no file behind.
-    Lines end in "\\n" on every platform, so the bytes an archive's checksum
-    covers are the bytes written. A symbolic link is written through, not
-    replaced."""
+    Lines end in "\\n", so an archive's checksum covers the bytes written.
+    A symbolic link is written through; a path that exists and is not a
+    regular file, such as `/dev/stdout` or a pipe, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="\n") as f:
+            yield f
+        return
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

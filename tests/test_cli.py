@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -983,6 +984,49 @@ def test_predict_writes_through_a_symbolic_link(cli_train, tiny_dataset,
     assert (tmp_path / "link.tsv").is_symlink()
     assert (tmp_path / "scores.tsv").read_text().startswith(
         "row_id\tprobability\n")
+
+
+def test_predict_writes_into_a_pipe(cli_train, tiny_dataset, tmp_path):
+    """An `--output` that is a named pipe is written in place, not replaced
+    by a file."""
+    _, out, _ = cli_train
+    argv = ["predict", "--model", str(out / "model.cbf"),
+            "--input", tiny_dataset["path"]]
+    assert run_cli(argv + ["--output", str(tmp_path / "scores.tsv")]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a read-write end held open here lets both ends open without waiting
+    hold = os.open(fifo, os.O_RDWR)
+    got = []
+    with open(fifo, "rb") as f:
+        reader = threading.Thread(target=lambda: got.append(f.read()),
+                                  daemon=True)
+        reader.start()
+        try:
+            code = run_cli(argv + ["--output", str(fifo)])
+        finally:
+            os.close(hold)
+            reader.join(60)
+    assert code == 0
+    assert got == [(tmp_path / "scores.tsv").read_bytes()]
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "scores.tsv"]
+
+
+def test_predict_writes_to_dev_stdout(cli_train, tiny_dataset, tmp_path):
+    _, out, _ = cli_train
+    argv = ["predict", "--model", str(out / "model.cbf"),
+            "--input", tiny_dataset["path"]]
+    assert run_cli(argv + ["--output", str(tmp_path / "scores.tsv")]) == 0
+    src = str(Path(cbforest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cbforest.cli import main; "
+         "main(sys.argv[1:])", *argv, "--output", "/dev/stdout"],
+        capture_output=True, env=env, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (tmp_path / "scores.tsv").read_bytes()
 
 
 def test_predict_contract(cli_train, tiny_dataset, tmp_path):
