@@ -22,6 +22,7 @@ from .synth import write_synthetic
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,7 +275,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    raise SystemExit(args.func(args))
+    try:
+        code = args.func(args)
+    except Exception as e:
+        # a fault no command maps to a code of its own, such as running out
+        # of memory: one line, not a traceback, and not a config error's code
+        message = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {message}",
+              file=sys.stderr)
+        code = EXIT_INTERNAL
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

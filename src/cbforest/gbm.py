@@ -14,11 +14,13 @@ A linear learner is one coordinate-descent sweep per round over the columns
 of the training matrix, which are sliced once per `train_gbm`.
 
 A tree is a set of flat node arrays (`DecisionTree`). Prediction scores
-many models at once (`_Scorer`) on a `SparseDataset`, block by block of
-rows: the trees of all of them are one forest, which lays out the block's
-CSC values of its split features as a dense table and walks it one depth
-level per step, and the linear models are the columns of one weight matrix
-applied to the block's CSR.
+many models at once (`_Scorer`) on a `SparseDataset`. The trees of all of
+them are one forest, walked block by block of rows over a dense table with
+one row per (split feature, default direction) pair, filled straight from
+the block's CSR arrays; a row that lacks the feature reads -inf where the
+default is left and +inf where it is right, so each step of the walk is one
+comparison per (tree, row). The linear models are the columns of one weight
+matrix applied to the dataset's CSR.
 """
 from __future__ import annotations
 
@@ -514,14 +516,30 @@ WALK_PAIRS = 1 << 16  # (tree, row) pairs per forest walk; _Forest.leaf_values
 
 
 class _Forest:
-    """Trees concatenated into one node table, walked together.
+    """Trees concatenated into one node table, walked together over a dense
+    table of the rows' values.
+
+    The table has one row per (split feature, default direction) pair that
+    the trees read, default-left pairs first, each group by feature:
+    `features[p]` is pair p's feature. Its cells hold `fill[p]`, -inf for
+    default left and +inf for default right, wherever a row stores no value
+    of the feature. So an absent value goes its default way by the same
+    comparison as a stored one: at node i a row goes left when its cell is
+    below `threshold[i]`. A split's -inf threshold is clamped to the least
+    float, which still sends every stored value right (they are finite:
+    `SparseDataset` rejects others) and sends -inf left. `table_row[i]` is
+    the pair node i reads.
+
+    A spare row follows the pairs. `column_rows[0][j]` and
+    `column_rows[1][j]` are the table rows of column j's default-left and
+    default-right pairs, or the spare row where the trees read no such pair;
+    a column past the last split feature takes the last entry, whose pairs
+    are both spare. So every stored value can be written to both its rows.
 
     Node ids are global. A leaf loops back to itself: `right` is its own id,
-    and its threshold -inf and default right send no row left. So every row
-    can take the same number of steps, the depth of the deepest tree.
-    `features` are the distinct split features in increasing order, and
-    `table_row[i]` is the one node i reads, as its index in them; a leaf
-    reads index 0 and ignores it.
+    and its threshold -inf sends no cell left. So every row can take the
+    same number of steps, the depth of the deepest tree. A leaf reads table
+    row 0 and ignores it.
     """
 
     def __init__(self, trees):
@@ -529,14 +547,26 @@ class _Forest:
         self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
         left = np.concatenate([t.left for t in trees])
         leaf = left < 0
-        feature = np.concatenate([t.feature for t in trees])
-        self.features, inverse = np.unique(feature[~leaf], return_inverse=True)
+        split = ~leaf
+        feature = np.concatenate([t.feature for t in trees])[split]
+        default_left = np.concatenate([t.default_left for t in trees])[split]
+        # a pair's key is its feature, plus m if it defaults right; column
+        # m - 1 is past every split feature. Feature ids are small, so one
+        # pass over the keys ranks them faster than a sort would
+        m = (int(feature.max()) if feature.size else -1) + 2
+        key = feature + m * ~default_left
+        read = np.zeros(2 * m, dtype=bool)
+        read[key] = True
+        rank = np.cumsum(read) - 1
+        pairs = np.flatnonzero(read)
+        self.features = pairs % m
+        self.fill = np.append(np.where(pairs < m, -np.inf, np.inf), 0.0)
+        self.column_rows = np.where(read, rank, len(pairs)).reshape(2, m)
         self.table_row = np.zeros(len(left), dtype=np.int64)
-        self.table_row[~leaf] = inverse
-        self.threshold = np.where(
-            leaf, -np.inf, np.concatenate([t.threshold for t in trees]))
-        self.default_left = ~leaf & np.concatenate(
-            [t.default_left for t in trees])
+        self.table_row[split] = rank[key]
+        threshold = np.concatenate([t.threshold for t in trees])
+        self.threshold = np.where(leaf, -np.inf,
+                                  np.maximum(threshold, -np.finfo(float).max))
         self.right = np.where(leaf, np.arange(len(left)),
                               left + np.repeat(self.roots, sizes) + 1)
         self.value = np.concatenate([t.value for t in trees])
@@ -550,48 +580,44 @@ class _Forest:
             right = self.right[level]
             level = np.concatenate([right - 1, right])
 
-    def leaf_values(self, csc):
-        """(trees, rows) array: the leaf value each row of the scipy CSC
-        matrix `csc` reaches in each tree.
+    def leaf_values(self, table, n):
+        """(trees, rows) array: the leaf value each of `n` rows reaches in
+        each tree, given the rows' table as one flat array, pair p's cells at
+        `p * n` to `p * n + n`.
 
-        The rows' values of `features` are first laid out in a dense
-        (features, rows) table, NaN where a row stores none: stored values
-        are finite (`SparseDataset` rejects others), so NaN marks absence
-        alone. Groups of trees are then walked in turn, each group at most
-        `WALK_PAIRS` (tree, row) pairs or one tree, so that its arrays stay
-        in cache."""
-        n = csc.shape[0]
-        first = csc.indptr[self.features]
-        count = csc.indptr[self.features + 1] - first
-        pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
-                                                 count)
-        table = np.full((len(self.features), n), np.nan)
-        table[np.repeat(np.arange(len(self.features)), count),
-              csc.indices[pos]] = csc.data[pos]
-        values = table.ravel()
+        Groups of trees are walked in turn, each group at most `WALK_PAIRS`
+        (tree, row) pairs or one tree, so that its arrays stay in cache."""
         out = np.empty((len(self.roots), n))
         # flat offset of the table row each node reads
         offset = self.table_row * n
+        row = np.arange(n)
         step = max(1, WALK_PAIRS // max(n, 1))
         for a in range(0, len(self.roots), step):
-            roots = self.roots[a:a + step]
-            # (tree, row) pairs, tree by tree, so that consecutive pairs read
-            # few table rows, each in row order
-            node = np.repeat(roots, n)
-            row = np.tile(np.arange(n), len(roots))
+            # a (trees, rows) array of nodes, so that consecutive (tree, row)
+            # pairs read few table rows, each in row order
+            node = self.roots[a:a + step, None].repeat(n, axis=1)
             for _ in range(self.depth):
-                x = values.take(offset.take(node) + row)
-                go_left = ((x < self.threshold.take(node))
-                           | (np.isnan(x) & self.default_left.take(node)))
-                node = self.right.take(node) - go_left
-            out[a:a + step] = self.value.take(node).reshape(len(roots), n)
+                x = table.take(offset.take(node) + row)
+                node = self.right.take(node) - (x < self.threshold.take(node))
+            out[a:a + step] = self.value.take(node)
         return out
 
 
 def predict_tree(tree: DecisionTree, data: SparseDataset) -> np.ndarray:
-    """The leaf value each row of `data` reaches in `tree`. The rows are one
-    block: training walks its whole splits, whose CSC the dataset caches."""
-    return _Forest([tree]).leaf_values(data.to_csc())[0]
+    """The leaf value each row of `data` reaches in `tree`, all rows one
+    table. Training walks its whole splits, whose CSC the dataset caches, so
+    each table row is filled from its feature's column range."""
+    forest = _Forest([tree])
+    csc = data.to_csc()
+    n = data.n_rows
+    first = csc.indptr[forest.features]
+    count = csc.indptr[forest.features + 1] - first
+    pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count,
+                                             count)
+    table = np.repeat(forest.fill, n)
+    table[np.repeat(np.arange(len(count)) * n, count)
+          + csc.indices[pos]] = csc.data[pos]
+    return forest.leaf_values(table, n)[0]
 
 
 def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
@@ -693,12 +719,13 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
 
 class _Scorer:
     """Scores many models together: called on a SparseDataset, it returns a
-    (models, rows) array of what `predict_gbm` returns for each model. Rows
-    are scored in blocks of `BLOCK_ROWS`, each a CSR slice of the dataset
-    and its CSC; a dataset of one block is its own cached CSR and CSC. Per
-    block, the trees of all gbtree models are one `_Forest` walk of the CSC,
-    and the gblinear models' summed deltas are the columns of one product
-    with the CSR."""
+    (models, rows) array of what `predict_gbm` returns for each model.
+
+    The trees of all gbtree models are one `_Forest`, walked a block of
+    `BLOCK_ROWS` rows at a time over a table filled straight from the
+    block's CSR arrays through the forest's `column_rows`. The gblinear
+    models' summed deltas are the columns of one weight matrix, multiplied
+    once with the dataset's CSR."""
 
     def __init__(self, models):
         self.n_cols = {m.n_cols for m in models}
@@ -712,8 +739,8 @@ class _Scorer:
                 trees += m.learners
             elif m.learners:
                 linear.append(i)
-        self.forest = _Forest(trees) if trees else None
         if trees:
+            self.forest = _Forest(trees)
             # leaves as boosting added them: times the learning rate, and in a
             # model's first tree to its base score (`raw + lr * out`)
             start = self.forest.roots
@@ -732,26 +759,34 @@ class _Scorer:
         for n_cols in self.n_cols - {data.n_cols}:
             raise DataError(f"column-count mismatch: model has {n_cols}, "
                             f"data has {data.n_cols}")
-        if data.n_rows <= BLOCK_ROWS:
-            return self._block(data.to_csr(), data.to_csc())
-        csr = data.to_csr()
-        blocks = (csr[a:a + BLOCK_ROWS] for a in range(0, data.n_rows,
-                                                        BLOCK_ROWS))
-        return np.concatenate([self._block(b, b.tocsc()) for b in blocks],
-                              axis=1)
-
-    def _block(self, csr, csc):
-        raw = np.repeat(self.base[:, None], csr.shape[0], axis=1)
-        leaves = self.forest.leaf_values(csc) if self.spans else None
-        for i, a, b in self.spans:
-            # accumulate adds the trees in order; a pairwise sum would change
-            # the last bits
-            raw[i] = np.add.accumulate(leaves[a:b], axis=0)[-1]
+        n = data.n_rows
+        raw = np.repeat(self.base[:, None], n, axis=1)
+        for a in range(0, n if self.spans else 0, BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, n)
+            leaves = self._leaf_values(data, a, b)
+            for i, s, e in self.spans:
+                # accumulate adds the trees in order; a pairwise sum would
+                # change the last bits
+                raw[i, a:b] = np.add.accumulate(leaves[s:e], axis=0)[-1]
         if self.linear.size:
             i = self.linear
-            raw[i] += self.lr[i, None] * (self.bias + (csr @ self.weights).T)
+            raw[i] += self.lr[i, None] * (self.bias
+                                          + (data.to_csr() @ self.weights).T)
         raw[self.logistic] = expit(raw[self.logistic])
         return raw
+
+    def _leaf_values(self, data, a, b):
+        """The forest's leaf values of rows a:b of `data`, whose stored
+        values are scattered into their table rows from the CSR arrays."""
+        n = b - a
+        lo, hi = data.indptr[a], data.indptr[b]
+        cols = data.indices[lo:hi]
+        values = data.values[lo:hi]
+        row = np.repeat(np.arange(n), np.diff(data.indptr[a:b + 1]))
+        table = np.repeat(self.forest.fill, n)
+        rows = self.forest.column_rows.take(cols, axis=1, mode="clip")
+        table[rows * n + row] = values
+        return self.forest.leaf_values(table, n)
 
 
 def predict_gbm(model: GbmModel, data: SparseDataset) -> np.ndarray:

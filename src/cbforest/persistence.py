@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,45 +50,65 @@ def _learner_to_dict(learner):
     return {"bias": learner.bias, "weights": learner.weights.tolist()}
 
 
-# numpy dtype kinds a stored tree array may take: integer, float, bool
-_TREE_KINDS = {"feature": "i", "threshold": "if", "default_left": "b",
-               "left": "i", "value": "if"}
+# per stored tree array: the numpy dtype kinds its entries may take
+# (integer, float, bool) and the dtype it loads as
+_TREE_ARRAYS = {"feature": ("i", np.int64), "threshold": ("if", np.float64),
+                "default_left": ("b", np.bool_), "left": ("i", np.int64),
+                "value": ("if", np.float64)}
 
 
 def _malformed_tree(reason):
     return PersistenceError(f"malformed archive: malformed tree: {reason}")
 
 
-def _tree_from_dict(d, n_cols) -> DecisionTree:
-    """A stored tree, checked so that every walk of it ends at one of its
-    leaves, having read only features below `n_cols`, and that no threshold
-    is NaN and every value is finite."""
-    if not isinstance(d, dict) or set(d) != set(_TREE_KINDS):
-        raise _malformed_tree("expected the arrays "
-                              + ", ".join(DecisionTree.ARRAYS))
-    arrays = {name: np.asarray(d[name]) for name in DecisionTree.ARRAYS}
-    n = arrays["left"].size
-    if n == 0 or any(a.shape != (n,) or a.dtype.kind not in _TREE_KINDS[name]
-                     for name, a in arrays.items()):
-        raise _malformed_tree("its arrays differ in length or hold entries "
-                              "of the wrong type")
-    tree = DecisionTree(
-        feature=arrays["feature"].astype(np.int64),
-        threshold=arrays["threshold"].astype(np.float64),
-        default_left=arrays["default_left"],
-        left=arrays["left"].astype(np.int64),
-        value=arrays["value"].astype(np.float64))
-    split = np.flatnonzero(tree.left != -1)
-    child = tree.left[split]
-    if ((child <= split) | (child + 1 >= n)).any():
+def _trees_from_dicts(dicts, n_cols) -> list:
+    """A gbtree model's stored trees, checked so that every walk of each
+    ends at one of its leaves, having read only features below `n_cols`,
+    and that no threshold is NaN and every value is finite.
+
+    Each tree's keys and lengths are checked one by one; its arrays are then
+    converted and checked once for the whole model, concatenated, and every
+    tree gets views into them."""
+    wrong_type = _malformed_tree("its arrays differ in length or hold "
+                                 "entries of the wrong type")
+    sizes = []
+    for d in dicts:
+        if not isinstance(d, dict) or d.keys() != _TREE_ARRAYS.keys():
+            raise _malformed_tree("expected the arrays "
+                                  + ", ".join(DecisionTree.ARRAYS))
+        n = len(d["left"]) if isinstance(d["left"], list) else 0
+        if n == 0 or any(not isinstance(d[name], list) or len(d[name]) != n
+                         for name in DecisionTree.ARRAYS):
+            raise wrong_type
+        sizes.append(n)
+    if not sizes:
+        return []
+    arrays = {}
+    for name, (kinds, dtype) in _TREE_ARRAYS.items():
+        try:
+            a = np.array(list(chain.from_iterable(d[name] for d in dicts)))
+        except ValueError:   # entries nested unevenly
+            raise wrong_type from None
+        if a.ndim != 1 or a.dtype.kind not in kinds:
+            raise wrong_type
+        arrays[name] = a.astype(dtype, copy=False)
+    starts = np.cumsum([0] + sizes[:-1])
+    split = np.flatnonzero(arrays["left"] != -1)
+    tree = np.repeat(np.arange(len(sizes)), sizes)[split]
+    child = arrays["left"][split]
+    if ((child <= split - starts[tree])
+            | (child + 1 >= np.asarray(sizes)[tree])).any():
         raise _malformed_tree("a child index is out of range or does not "
                               "point past its parent")
-    f = tree.feature[split]
+    f = arrays["feature"][split]
     if ((f < 0) | (f >= n_cols)).any():
         raise _malformed_tree(f"a split feature is not below n_cols {n_cols}")
-    if np.isnan(tree.threshold).any() or not np.isfinite(tree.value).all():
+    if (np.isnan(arrays["threshold"]).any()
+            or not np.isfinite(arrays["value"]).all()):
         raise _malformed_tree("a threshold is NaN or a value is not finite")
-    return tree
+    bounds = zip(starts.tolist(), (starts + sizes).tolist())
+    return [DecisionTree(*(arrays[name][a:b] for name in DecisionTree.ARRAYS))
+            for a, b in bounds]
 
 
 def _linear_from_dict(d, n_cols) -> LinearDelta:
@@ -132,10 +153,12 @@ def _gbm_from_dict(d):
                                f"learner of another booster")
     return GbmModel(booster=booster, loss=loss, base_score=d["base_score"],
                     learning_rate=d["learning_rate"],
-                    learners=[_tree_from_dict(l["tree"], n_cols)
+                    learners=(_trees_from_dicts([l["tree"]
+                                                 for l in d["learners"]],
+                                                n_cols)
                               if booster == GBTREE
-                              else _linear_from_dict(l, n_cols)
-                              for l in d["learners"]],
+                              else [_linear_from_dict(l, n_cols)
+                                    for l in d["learners"]]),
                     n_cols=n_cols)
 
 

@@ -409,6 +409,11 @@ def _arrays_differ_in_length(doc):
     _first_stored_tree(doc)["threshold"].append(0.5)
 
 
+def _threshold_entry_is_a_list(doc):
+    tree = _first_stored_tree(doc)
+    tree["threshold"][0] = [tree["threshold"][0]]
+
+
 def _feature_past_n_cols(doc):
     tree = _first_stored_tree(doc)
     tree["feature"][_split_node(tree)] = doc["model"]["bundles"][0][
@@ -424,6 +429,7 @@ def test_predict_rejects_a_tree_child_out_of_range(tiny_run, tiny_dataset,
 
 @pytest.mark.parametrize("edit", [_child_out_of_range, _child_before_parent,
                                   _arrays_differ_in_length,
+                                  _threshold_entry_is_a_list,
                                   _feature_past_n_cols])
 def test_archive_rejects_malformed_trees(tiny_run, tmp_path, edit):
     path = _edited_archive(tiny_run, tmp_path, edit)
@@ -1058,6 +1064,25 @@ def test_predict_corrupted_archive_exits_two(cli_train, tiny_dataset,
                     "--input", tiny_dataset["path"],
                     "--output", str(tmp_path / "x.tsv")])
     assert code == 2
+
+
+def test_an_unmapped_exception_exits_four_with_one_line(
+        tiny_dataset, tmp_path, capsys, monkeypatch):
+    """A fault that no command maps to a code, such as running out of
+    memory, exits 4, not the config-error code 1, and prints one line, not a
+    traceback."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(tiny_config_dict(
+        tiny_dataset, output_dir=str(tmp_path / "out"))))
+
+    def fail(config):
+        raise RuntimeError("no model\nfor you")
+
+    monkeypatch.setattr(cli, "run_cbf", fail)
+    assert run_cli(["train", "--config", str(cfg_path)]) == 4
+    assert capsys.readouterr().err == ("internal error: RuntimeError: no model "
+                                       "for you\n")
+    assert not (tmp_path / "out").exists()
 
 
 # Runs the CLI on its arguments, then prints its exit code and the modules

@@ -5,6 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cbforest import ensemble
 from cbforest.config import ConfigError, RunConfig
@@ -409,6 +410,26 @@ def test_loaded_model_builds_its_scorer_once(tiny_run, tmp_path,
     assert built == [sum(len(row) for b in model.bundles for row in b.models)]
     assert train_pred.tobytes() == result.train_pred.tobytes()
     assert test_pred.tobytes() == result.test_pred.tobytes()
+
+
+def test_predict_cbf_reads_csr_arrays_only(tiny_run, monkeypatch):
+    """The scorer fills its tables from the dataset's CSR arrays, for one
+    row and for a library of two blocks: neither the dataset's CSC nor
+    scipy's conversion to it is ever built."""
+    _, result = tiny_run
+    data = result.test_data
+    library = data.subset(np.arange(BLOCK_ROWS + 100) % data.n_rows)
+    expected = predict_cbf(result.model, library)
+
+    def no_csc(self):
+        raise AssertionError("the scorer built a CSC")
+
+    monkeypatch.setattr(SparseDataset, "to_csc", no_csc)
+    monkeypatch.setattr(sparse.csr_matrix, "tocsc", no_csc)
+    fresh = dataclasses.replace(result.model)   # builds its own scorer
+    assert predict_cbf(fresh, library).tobytes() == expected.tobytes()
+    row = predict_cbf(fresh, library.subset([BLOCK_ROWS + 7]))
+    assert row.tobytes() == expected[BLOCK_ROWS + 7:BLOCK_ROWS + 8].tobytes()
 
 
 def test_predict_cbf_differs_from_oof_training_values(tiny_run):

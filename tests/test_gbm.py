@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.special import expit
 
 from _oracles import (boosted_trees_oracle, breadth_first,
                       column_sweep_oracle, depth_first_tree_oracle,
-                      exact_greedy_tree_oracle, gbm_prediction_oracle,
-                      tree_walk_oracle)
+                      exact_greedy_tree_oracle, flat_tree_walk_oracle,
+                      gbm_prediction_oracle, tree_walk_oracle)
 from cbforest import gbm, persistence
 from cbforest.data import LabelMapping, SparseDataset, binarize, load_svmlight
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
@@ -955,6 +956,64 @@ def test_predict_gbm_rows_one_at_a_time_equal_the_batch(booster):
     batch = predict_gbm(model, ds)
     one_by_one = [predict_gbm(model, ds.subset([i]))[0] for i in range(n)]
     assert np.array_equal(one_by_one, batch)
+
+
+# thresholds a loaded archive may hold beside those training finds: JSON
+# parses Infinity, and the least and largest floats are thresholds too
+EDGE_THRESHOLDS = [-math.inf, -sys.float_info.max, sys.float_info.max,
+                   math.inf]
+# stored values of the split features, the extreme floats included
+EDGE_VALUES = [-sys.float_info.max, -2.0, 0.0, 1.0, 3.0, sys.float_info.max]
+
+
+def _edge_nested_tree(r, depth, root=None):
+    """A random nested tree over features 0-4 whose thresholds are stored
+    values, midpoints or `EDGE_THRESHOLDS`; `root` fixes the root's (feature,
+    default_left)."""
+    if depth == 0 or (root is None and r.random() < 0.2):
+        return ("leaf", float(r.normal()))
+    f, dl = root or (int(r.integers(5)), bool(r.random() < 0.5))
+    threshold = float(r.choice(EDGE_THRESHOLDS + EDGE_VALUES[1:-1]
+                               + [-1.5, 0.5, 2.0]))
+    return ("split", f, threshold, dl, _edge_nested_tree(r, depth - 1),
+            _edge_nested_tree(r, depth - 1))
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_walk_with_default_rows_matches_the_oracles(n):
+    """Feature 0 is split on with absent rows sent left and right, so the
+    walk's table holds a -inf row and a +inf row for it. Infinite and
+    extreme thresholds and stored values, and rows that store none of the
+    split features (every fourth), score as the oracles
+    walk them: the batch, each row alone and `predict_tree`, bit for bit."""
+    r = np.random.default_rng(28 + n)
+    rows = []
+    for i in range(n):
+        stored = {j: float(r.choice(EDGE_VALUES)) for j in range(5)
+                  if i % 4 != 3 and r.random() < 0.5}
+        stored.update({j: float(r.normal()) for j in (5, 6, 7)
+                       if r.random() < 0.5})
+        rows.append(sorted(stored.items()))
+    ds = SparseDataset.from_rows(rows, n_cols=8)
+    models = []
+    for k, (loss, lr) in enumerate(((QUADRATIC, 1.0), (LOGISTIC, 0.3),
+                                    (QUADRATIC, 0.1))):
+        trees = [_edge_nested_tree(r, int(r.integers(1, 6)),
+                                   root=(0, t % 2 == 0) if k == 0 else None)
+                 for t in range(6)]
+        models.append(GbmModel(GBTREE, loss, float(r.normal()), lr,
+                               [_flat(t) for t in trees], 8))
+    forest = gbm._Forest(models[0].learners)
+    assert forest.features.tolist().count(0) == 2
+    for tree in models[0].learners:
+        expected = [flat_tree_walk_oracle(tree, dict(row)) for row in rows]
+        assert predict_tree(tree, ds).tolist() == expected
+    scorer = gbm._Scorer(models)
+    batch = scorer(ds)
+    for i, model in enumerate(models):
+        assert batch[i].tobytes() == gbm_prediction_oracle(model, ds).tobytes()
+    alone = np.column_stack([scorer(ds.subset([i])) for i in range(n)])
+    assert alone.tobytes() == batch.tobytes()
 
 
 def test_predict_column_mismatch():
