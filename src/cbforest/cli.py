@@ -46,15 +46,16 @@ def _at_least_one(text):
 
 
 def _fmt(v):
-    if isinstance(v, float) and np.isnan(v):
-        return "NA"
-    return repr(float(v)) if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        # float() so that an np.float64 prints as a plain float.
+        return "NA" if v != v else repr(float(v))
+    return str(v)
 
 
 def _write_tsv(f, header, rows):
     f.write("\t".join(header) + "\n")
     for row in rows:
-        f.write("\t".join(_fmt(v) for v in row) + "\n")
+        f.write("\t".join(map(_fmt, row)) + "\n")
 
 
 def _cannot_write(path, e):
@@ -139,7 +140,7 @@ def cmd_predict(args):
     try:
         with replaced_atomically(args.output) as f:
             _write_tsv(f, ["row_id", "probability"],
-                       [[f"r{i}", float(preds[i])] for i in range(data.n_rows)])
+                       [[f"r{i}", p] for i, p in enumerate(preds.tolist())])
     except OSError as e:
         return _cannot_write(args.output, e)
     return 0

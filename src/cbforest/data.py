@@ -145,21 +145,26 @@ class SparseDataset:
         if label_kind == "binary":
             if self.binary_labels is None:
                 raise DataError("dataset has no binary labels")
-            labels = [str(int(v)) for v in self.binary_labels]
+            labels = [str(v) for v in self.binary_labels.tolist()]
         elif label_kind == "continuous":
             if self.continuous_labels is None:
                 raise DataError("dataset has no continuous labels")
-            labels = [repr(float(v)) for v in self.continuous_labels]
+            labels = [repr(v) for v in self.continuous_labels.tolist()]
         else:
             raise DataError(f"unknown label kind {label_kind!r}")
         off = 0 if zero_based else 1
+        # Each distinct value is formatted once; -0.0 and 0.0 both print 0.
+        distinct, which = np.unique(self.values, return_inverse=True)
+        text = [_fmt(v) for v in distinct.tolist()]
+        values = [text[k] for k in which.tolist()]
+        indices = (self.indices + off).tolist()
+        bounds = self.indptr.tolist()
         with open(path, "w") as f:
-            for i in range(self.n_rows):
-                s, e = self.indptr[i], self.indptr[i + 1]
-                feats = " ".join(
-                    f"{int(j) + off}:{_fmt(v)}"
-                    for j, v in zip(self.indices[s:e], self.values[s:e]))
-                f.write(labels[i] + (" " + feats if feats else "") + "\n")
+            for i, label in enumerate(labels):
+                s, e = bounds[i], bounds[i + 1]
+                f.write(" ".join([label] + [
+                    f"{j}:{v}" for j, v in zip(indices[s:e], values[s:e])])
+                    + "\n")
 
 
 def _fmt(v):
@@ -292,6 +297,8 @@ _BYTE_CLASS[ord(":")] = _COLON
 # Fields are padded to the longest one for numpy's cast, so a longer field
 # is malformed rather than multiply its memory.
 _MAX_FIELD = 64
+# A run of at most this many digits is below 10**18, so int64 holds it.
+_MAX_DIGITS = 18
 # Feature indices are stored as int64.
 _MAX_INDEX = np.iinfo(np.int64).max
 # What the first faulty token is reported as, given its line number and text.
@@ -307,20 +314,44 @@ def _cast_fields(raw, buf, start, stop, kind, odd):
     """Convert every field raw[start[i]:stop[i]] with `kind`, int or float.
 
     Returns the values and a mask of the malformed fields, None if there are
-    none. numpy casts all fields at once by the rules of Python's int() and
-    float(). Where that raises, or the file holds NUL or non-ASCII bytes
-    (`odd`), each field is converted alone: it is malformed if kind() rejects
-    it, it holds such a byte or it is longer than _MAX_FIELD. An int past
-    int64 is then kept as a Python int.
+    none. Both paths below give what Python's int() and float() give.
+
+    A field of 1 to _MAX_DIGITS ASCII digits is read by arithmetic: a Horner
+    loop over its bytes sums it exactly in int64, and the int64 to float
+    conversion rounds to nearest, as float() rounds the same decimal. numpy
+    casts every other field (signs, "_", ".", exponents, inf and nan, longer
+    digit runs, empty fields) by the rules of int() and float(). Where that
+    raises, or the file holds NUL or non-ASCII bytes (`odd`), each field is
+    converted alone: it is malformed if kind() rejects it, it holds such a
+    byte or it is longer than _MAX_FIELD. An int past int64 is then kept as
+    a Python int.
     """
     width = max(int((stop - start).max(initial=0)), 1)
     if width <= _MAX_FIELD and not odd:
+        length = stop - start
         chars = np.zeros((start.size, width), dtype=np.uint8)
+        value = np.zeros(start.size, dtype=np.int64)
+        plain = (length > 0) & (length <= _MAX_DIGITS)
+        digit = np.empty(start.size, dtype=np.uint8)
         for j in range(width):
-            live = start + j < stop
-            chars[live, j] = buf[start[live] + j]
+            live = length > j
+            column = chars[:, j]
+            column[live] = buf[start[live] + j]
+            if j < _MAX_DIGITS and plain.any():
+                # value = value * 10 + digit; fields found not plain get
+                # the cast's value below.
+                np.subtract(column, ord("0"), out=digit)
+                plain &= (digit < 10) | ~live
+                np.multiply(value, 10, out=value, where=live)
+                np.add(value, digit, out=value, where=live)
+        text = chars.view(f"S{width}")[:, 0]
         try:
-            return chars.view(f"S{width}")[:, 0].astype(kind), None
+            if not plain.any():  # cast the whole text, with no copy
+                return text.astype(kind), None
+            out = value.astype(kind, copy=False)
+            other = ~plain
+            out[other] = text[other].astype(kind)
+            return out, None
         except (ValueError, OverflowError):
             pass
     out, bad = [], np.zeros(start.size, dtype=bool)

@@ -250,16 +250,19 @@ def predict_proba(beta, X) -> np.ndarray:
     """Sigmoid of intercept `beta[0]` + X @ `beta[1:]`; outputs strictly
     inside (0, 1).
 
-    The dot product adds the terms left to right, row by row, so a row
-    scored alone gets the same bits as in a batch.
+    `beta` is one coefficient vector, or a (K, width + 1) matrix of K of
+    them, which gives K rows of outputs. The dot product adds the terms left
+    to right, row by row, so a row scored alone, or by one vector of the
+    matrix, gets the same bits as in a batch.
     """
+    beta = np.asarray(beta, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(beta) - 1:
+    if X.ndim != 2 or X.shape[1] != beta.shape[-1] - 1:
         raise ValueError(
-            f"X must have {len(beta) - 1} columns, got shape {X.shape}")
-    terms = np.empty((X.shape[0], X.shape[1] + 1))
-    terms[:, 0] = beta[0]
-    np.multiply(X, beta[1:], out=terms[:, 1:])
-    p = expit(np.cumsum(terms, axis=1)[:, -1])
+            f"X must have {beta.shape[-1] - 1} columns, got shape {X.shape}")
+    terms = np.empty(beta.shape[:-1] + (X.shape[0], X.shape[1] + 1))
+    terms[..., 0] = beta[..., :1]
+    np.multiply(X, beta[..., None, 1:], out=terms[..., 1:])
+    p = expit(np.cumsum(terms, axis=-1)[..., -1])
     tiny = np.finfo(float).tiny
     return np.clip(p, tiny, np.nextafter(1.0, 0.0))

@@ -291,7 +291,7 @@ def predict_cbf(model: CbfModel, data: SparseDataset) -> np.ndarray:
     batch bits.
     """
     X = layer1_feature_matrix(model, data)
-    probs = [predict_proba(beta, X) for beta in model.layer2_betas]
+    probs = predict_proba(np.stack(model.layer2_betas), X)
     return np.add.accumulate(probs, axis=0)[-1] / len(probs)
 
 

@@ -3,10 +3,10 @@
 Everything here but the last sections is written with plain Python loops
 straight from the metric and split-gain definitions, deliberately sharing no
 code (and no vectorized shortcuts) with the package implementation. The last
-four sections keep the package's previous layer-1 builders, which the
+five sections keep the package's previous layer-1 builders, which the
 current ones must match bit for bit, its previous line-by-line SVMLight
-parser, its previous `rankdata` AUC-ROC and its previous per-model
-prediction arithmetic. The tie rule for the rank-based
+parser and per-token SVMLight writer, its previous `rankdata` AUC-ROC and
+its previous per-model prediction arithmetic. The tie rule for the rank-based
 early-retrieval metrics — a stable shuffle seeded with 902119 before the
 descending sort — is part of the documented metric contract and is
 re-derived here independently.
@@ -639,6 +639,26 @@ def svmlight_lines_oracle(raw, path, expect_label, zero_based, n_cols):
     else:
         kwargs["continuous_labels"] = np.asarray(labels, dtype=float)
     return SparseDataset.from_rows(rows, n_cols=n_cols, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The package's previous SVMLight writer, which formats every token on its
+# own. `SparseDataset.save_svmlight` must write the same bytes.
+
+def save_svmlight_oracle(ds, path, label_kind, zero_based=True):
+    """Write `ds` one row and one token at a time."""
+    if label_kind == "binary":
+        labels = [str(int(v)) for v in ds.binary_labels]
+    else:
+        labels = [repr(float(v)) for v in ds.continuous_labels]
+    off = 0 if zero_based else 1
+    with open(path, "w") as f:
+        for i in range(ds.n_rows):
+            s, e = ds.indptr[i], ds.indptr[i + 1]
+            feats = " ".join(
+                f"{int(j) + off}:{_fmt(v)}"
+                for j, v in zip(ds.indices[s:e], ds.values[s:e]))
+            f.write(labels[i] + (" " + feats if feats else "") + "\n")
 
 
 # ---------------------------------------------------------------------------

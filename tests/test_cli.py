@@ -1052,6 +1052,15 @@ def test_predict_contract(cli_train, tiny_dataset, tmp_path):
     assert all(0.0 < p < 1.0 for p in probs)
 
 
+def test_tsv_cells_format_floats_by_repr_and_nan_as_na():
+    assert cli._fmt(np.float64(0.1)) == "0.1"
+    assert cli._fmt(0.1) == "0.1"
+    assert cli._fmt(float("nan")) == "NA"
+    assert cli._fmt(np.float64("nan")) == "NA"
+    assert cli._fmt(3) == "3"
+    assert cli._fmt("r7") == "r7"
+
+
 def test_predict_corrupted_archive_exits_two(cli_train, tiny_dataset,
                                              tmp_path):
     _, out, _ = cli_train

@@ -11,7 +11,7 @@ from cbforest.data import (DataError, FoldAssignment, LabelMapping,
                            stratified_kfold)
 from cbforest.synth import make_synthetic
 
-from _oracles import svmlight_lines_oracle
+from _oracles import save_svmlight_oracle, svmlight_lines_oracle
 
 
 # ------------------------------------------------------------ svmlight
@@ -95,6 +95,25 @@ def test_svmlight_round_trip(tmp_path):
     assert np.array_equal(back.continuous_labels, ds.continuous_labels)
 
 
+def test_save_svmlight_writes_the_per_token_writers_bytes(tmp_path):
+    rows = [[(0, -0.0), (1, 1e15), (2, 1e16), (3, 0.1), (5, 7.0)],
+            [],
+            [(1, 0.0), (4, -3.0), (6, 1e16), (7, 2.5)],
+            [(0, 0.1), (7, -1e15)]]
+    ds = SparseDataset.from_rows(
+        rows, n_cols=8, continuous_labels=[-0.0, 1e16, 0.1, 3.0],
+        binary_labels=[1, 0, 0, 1])
+    for label_kind in ("binary", "continuous"):
+        for zero_based in (True, False):
+            ds.save_svmlight(tmp_path / "new.svm", label_kind, zero_based)
+            save_svmlight_oracle(ds, tmp_path / "old.svm", label_kind,
+                                 zero_based)
+            new = (tmp_path / "new.svm").read_bytes()
+            assert new == (tmp_path / "old.svm").read_bytes()
+    assert new.splitlines()[:2] == [
+        b"-0.0 1:0 2:1000000000000000.0 3:1e+16 4:0.1 6:7", b"1e+16"]
+
+
 # ------------------------------------- bulk parse vs the line-loop oracle
 
 def _assert_same_dataset(a, b):
@@ -115,18 +134,25 @@ _NUMBER_SHAPES = ["-0", "+5", "1_5.25", "7.", ".5", "-2.5e-3", "1", "1"]
 _MAX_COL = 40
 
 
+# Runs of 1 to 20 digits, leading zeros included: up to 18 digits they are
+# read by arithmetic, past that by numpy's cast.
+_DIGIT_RUN = st.text("0123456789", min_size=1, max_size=20)
+
+
 @st.composite
 def _number(draw):
     v = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
     return draw(st.sampled_from(
-        [repr(v), f"{v:+.4e}", f"{v:.6g}", f"{v:E}"] + _NUMBER_SHAPES))
+        [repr(v), f"{v:+.4e}", f"{v:.6g}", f"{v:E}", draw(_DIGIT_RUN)]
+        + _NUMBER_SHAPES))
 
 
 @st.composite
 def _index(draw, i):
     s = str(i)
     return draw(st.sampled_from(
-        [s, "+" + s, "0" + s, s[0] + "_" + s[1:] if len(s) > 1 else s]))
+        [s, "+" + s, "0" + s, s[0] + "_" + s[1:] if len(s) > 1 else s,
+         s.zfill(draw(st.integers(1, 20)))]))
 
 
 @st.composite
@@ -174,6 +200,42 @@ def test_bulk_parse_equals_line_loop(tmp_path_factory, data, binary,
     _assert_same_dataset(
         load_svmlight(path, label, zero_based=zero_based, n_cols=n_cols),
         svmlight_lines_oracle(raw, path, label, zero_based, n_cols))
+
+
+# Fields at the edges of the digit path: leading zeros, a sign, "_", 2**53 + 1
+# (which rounds to even as a float), and 17, 18 and 19 digits, the last one
+# past int64 as an index.
+_DIGIT_EDGES = ["0", "00", "007", "-0", "+1", "1_0", "9007199254740993",
+                "12345678901234567", "99999999999999999",
+                "123456789012345678", "999999999999999999",
+                "1234567890123456789", "9223372036854775807",
+                "9999999999999999999"]
+
+
+@pytest.mark.parametrize("field", _DIGIT_EDGES)
+def test_digit_edges_parse_as_the_line_loop(tmp_path, field):
+    """The field as a label, a value and an index: load_svmlight gives the
+    line-loop oracle's dataset or its DataError."""
+    raw = f"{field} 0:{field} 1:1\n1 {field}:1\n".encode("ascii")
+    path = tmp_path / "d.svm"
+    path.write_bytes(raw)
+    for zero_based in (True, False):
+        for n_cols in (None, 64):
+            try:
+                expected = svmlight_lines_oracle(raw, path, "continuous",
+                                                 zero_based, n_cols)
+            except DataError as e:
+                with pytest.raises(DataError) as exc:
+                    load_svmlight(path, "continuous", zero_based=zero_based,
+                                  n_cols=n_cols)
+                assert str(exc.value) == str(e)
+                continue
+            ds = load_svmlight(path, "continuous", zero_based=zero_based,
+                               n_cols=n_cols)
+            _assert_same_dataset(ds, expected)
+            assert ds.continuous_labels[0] == ds.values[0] == float(field)
+            assert (np.signbit(ds.values[0]) == np.signbit(
+                ds.continuous_labels[0]) == field.startswith("-"))
 
 
 _BAD_LABELS = ["abc", "1:1", "--1", "0x1", "1_", "nan(1)", "1\x00", "\x7f"]

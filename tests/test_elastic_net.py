@@ -279,6 +279,19 @@ def test_predict_proba_dimension_mismatch():
         predict_proba(beta, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("n", [1, 257])
+def test_predict_proba_of_a_beta_matrix_equals_each_vector(n):
+    g = np.random.default_rng(13)
+    betas = g.normal(size=(3, 6))
+    X = g.random((n, 5))
+    p = predict_proba(betas, X)
+    assert p.shape == (3, n)
+    for k in range(3):
+        assert p[k].tobytes() == predict_proba(betas[k], X).tobytes()
+    with pytest.raises(ValueError):
+        predict_proba(betas, X[:, 1:])
+
+
 def test_calibration_map_preserves_ordering_with_positive_coefficient():
     # single informative column positively associated with the label
     g = np.random.default_rng(12)
