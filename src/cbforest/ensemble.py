@@ -14,7 +14,7 @@ from .data import (DataError, FoldAssignment, LabelMapping, SparseDataset,
 from .elastic_net import (MAX_ITER, TOL, ElasticNetParams, fit_elastic_net,
                           predict_proba)
 from .gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC, LinearHyperParams,
-                  TreeHyperParams, _Scorer, predict_gbm, train_gbm)
+                  TreeHyperParams, _Scorer, predict_gbm, train_folds)
 from .metrics import MetricError, MetricSpec, evaluate, reliability_bins
 
 
@@ -85,11 +85,12 @@ class Layer1Record:
 
 
 def _fit_layer1_task(args):
-    (train_ds, valid_ds, params, loss, stop_metric, patience, max_rounds,
-     seed) = args
-    model, log = train_gbm(train_ds, valid_ds, params, loss, stop_metric,
-                           patience=patience, max_rounds=max_rounds, seed=seed)
-    return model, log, predict_gbm(model, valid_ds)
+    (dataset, folds, params, loss, stop_metric, patience, max_rounds,
+     seeds) = args
+    fits = train_folds(dataset, folds, params, loss, stop_metric,
+                       patience=patience, max_rounds=max_rounds, seeds=seeds)
+    return [(model, log, predict_gbm(model, dataset.subset(va)))
+            for (model, log), (_, va) in zip(fits, folds)]
 
 
 def train_layer1(dataset: SparseDataset, kinds, folds: FoldAssignment,
@@ -99,27 +100,27 @@ def train_layer1(dataset: SparseDataset, kinds, folds: FoldAssignment,
     binary labels by logistic loss and continuous ones by quadratic loss;
     returns their `Layer1Bundle`s and `Layer1Record`s, in `kinds` order.
 
-    Model (kind, h, k) fits `samples[h]` with fold k held out. All models
-    are one task list in (kind, h, k) order, run in one process pool when
-    `workers > 1`. Each derives its seed from (master_seed, position of its
-    kind in `kinds`, h, k), so results are independent of worker count and
-    schedule.
+    Model (kind, h, k) fits `samples[h]` with fold k held out. The K fold
+    models of one (kind, h) are one task, boosted together by `train_folds`.
+    All tasks are one list in (kind, h) order, run in one process pool of at
+    most one worker per task when `workers > 1`. Each model derives its seed
+    from (master_seed, position of its kind in `kinds`, h, k), so results
+    are independent of worker count and schedule.
     """
     K, H = folds.K, len(samples)
-    subsets = [(dataset.subset(folds.train_rows(k)),
-                dataset.subset(folds.valid_rows(k))) for k in range(K)]
-    tasks = [(*subsets[k], params, LOGISTIC if kind == "binary" else QUADRATIC,
-              stop_metric, patience, max_rounds,
-              derive_seed(master_seed, tag, h, k))
+    pairs = [(folds.train_rows(k), folds.valid_rows(k)) for k in range(K)]
+    tasks = [(dataset, pairs, params,
+              LOGISTIC if kind == "binary" else QUADRATIC, stop_metric,
+              patience, max_rounds,
+              [derive_seed(master_seed, tag, h, k) for k in range(K)])
              for tag, kind in enumerate(kinds)
-             for h, params in enumerate(samples) for k in range(K)]
+             for h, params in enumerate(samples)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_layer1_task, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            rows = list(pool.map(_fit_layer1_task, tasks, chunksize=1))
     else:
-        results = [_fit_layer1_task(t) for t in tasks]
-    # results come in task order, K folds per (kind, h)
-    rows = [results[i:i + K] for i in range(0, len(results), K)]
+        rows = [_fit_layer1_task(t) for t in tasks]
+    # rows come in task order, one per (kind, h), K folds each
     bundles, records = [], []
     for tag, kind in enumerate(kinds):
         grid = rows[tag * H:(tag + 1) * H]

@@ -168,7 +168,7 @@ class _TrainMatrix:
         self.indptr = dataset.indptr
         csc = dataset.to_csc()
         # column j stores rows col_rows[col_ptr[j]:col_ptr[j + 1]]
-        self.col_ptr = csc.indptr.tolist()
+        self.col_ptr = csc.indptr
         self.col_rows = csc.indices
         self.col_values = csc.data
         order = np.lexsort((dataset.values, dataset.indices))
@@ -288,131 +288,152 @@ def _best_splits(cells, vg, vh, counts, G, H, bin_mask, tm, params):
     return won, feat[i], threshold, kind != 2
 
 
-def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionTree:
-    """Newton tree over the given training rows, grown one depth level at a
-    time.
+def _column_masks(params, n_cols, rng):
+    """(max_depth, n_cols) mask of the features each depth of a tree may
+    split on, drawn from `rng`: the tree's columns, then each level's.
 
-    All nodes of a level are split at once: their histograms are built and
-    their candidates scored together (`_best_splits`), and their rows are
-    routed down each split feature's column. A node becomes a leaf at
-    `max_depth`, with fewer than two rows, or with no split of positive
-    gain. Nodes are numbered breadth-first: the root is 0, each level follows
-    the one above it left to right, and the k-th split node in id order has
-    children 2k + 1 and 2k + 2.
-    """
-    tm = data if isinstance(data, _TrainMatrix) else _TrainMatrix(data)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    n = tm.n_rows
-    node_rows = (np.arange(n) if rows is None
-                 else np.asarray(rows, dtype=np.int64))
-
-    # column sampling is drawn up front so the draw sequence does not depend
-    # on the shape the tree happens to take
+    Column sampling is drawn up front so the draw sequence does not depend
+    on the shape the tree happens to take."""
     if params.colsample_bytree < 1.0:
-        k = max(1, int(round(params.colsample_bytree * tm.n_cols)))
-        tree_feats = np.sort(rng.choice(tm.n_cols, size=k, replace=False))
+        k = max(1, int(round(params.colsample_bytree * n_cols)))
+        tree_feats = np.sort(rng.choice(n_cols, size=k, replace=False))
     else:
-        tree_feats = np.arange(tm.n_cols)
-    level_masks = []
-    for _ in range(params.max_depth):
-        mask = np.zeros(tm.n_cols, dtype=bool)
+        tree_feats = np.arange(n_cols)
+    masks = np.zeros((params.max_depth, n_cols), dtype=bool)
+    for mask in masks:
         if params.colsample_bylevel < 1.0:
             k = max(1, int(round(params.colsample_bylevel * len(tree_feats))))
             mask[rng.choice(tree_feats, size=k, replace=False)] = True
         else:
             mask[tree_feats] = True
-        level_masks.append(mask)
+    return masks
 
+
+def _build_trees(g, h, tm: _TrainMatrix, params: TreeHyperParams, rngs,
+                 rows) -> list:
+    """Newton trees grown together, one per row of the (trees, rows) arrays
+    `g` and `h`: tree t fits `g[t]` and `h[t]` over `rows[t]`, ascending
+    rows of `tm`, with column draws from `rngs[t]`.
+
+    Row r of tree t is instance t * n + r, n being `tm.n_rows`. The trees'
+    roots are the nodes of the first level, and each level's nodes, of every
+    tree, are split at once: their histograms are built and their candidates
+    scored together (`_best_splits`), and their instances are routed down
+    each split feature's column. A node's values keep its rows' order and its
+    candidates are the bins present among its rows, so each tree comes out
+    as it would grown alone. A node becomes a leaf at `max_depth`, with fewer
+    than two rows, or with no split of positive gain. Each tree numbers its
+    nodes breadth-first: the root is 0, each level follows the one above it
+    left to right, and the k-th split node in id order has children 2k + 1
+    and 2k + 2.
+    """
+    n, T = tm.n_rows, len(rngs)
+    g = np.asarray(g, dtype=float).reshape(-1)
+    h = np.asarray(h, dtype=float).reshape(-1)
+    level_masks = np.array([_column_masks(params, tm.n_cols, rng)
+                            for rng in rngs]).reshape(T, params.max_depth,
+                                                      tm.n_cols)
     n_bins = len(tm.bin_feature)
     batch = max(1, HIST_CELLS // max(1, n_bins))
-    # the stored values of the tree's rows in row order, with their rows,
-    # bins, gradients and hessians; a node's values keep this order
-    starts = tm.indptr[node_rows]
-    lens = tm.indptr[node_rows + 1] - starts
+    node_inst = np.concatenate([t * n + np.asarray(r, dtype=np.int64)
+                                for t, r in enumerate(rows)])
+    # the stored values of the trees' instances in instance order, with their
+    # instances, bins, gradients and hessians; a node's values keep this order
+    row = node_inst % n
+    starts = tm.indptr[row]
+    lens = tm.indptr[row + 1] - starts
     pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
                                             lens)
-    vrow = np.repeat(node_rows, lens)
+    vinst = np.repeat(node_inst, lens)
     vbin = tm.bin_of[pos]
-    vg = np.repeat(g[node_rows], lens)
-    vh = np.repeat(h[node_rows], lens)
-    side = np.empty(n, dtype=bool)
-    node_of_row = np.empty(n, dtype=np.int64)
-    # per level: its nodes' ids, G, H, feature, threshold, default_left and
-    # left, the last four filled in as the level splits. A level lists the
-    # left children of the previous level's split nodes in order, then their
-    # right children; `node_rows` holds its rows node by node, `counts` rows
-    # each.
+    vg = np.repeat(g[node_inst], lens)
+    vh = np.repeat(h[node_inst], lens)
+    side = np.empty(T * n, dtype=bool)
+    node_of_inst = np.empty(T * n, dtype=np.int64)
+    # per level: its nodes' trees, ids, G, H, feature, threshold,
+    # default_left and left, the last four filled in as the level splits. A
+    # level lists the left children of the previous level's split nodes in
+    # order, then their right children; `node_inst` holds its instances node
+    # by node, `counts` each.
     levels = []
-    ids = np.zeros(1, dtype=np.int64)
-    n_ids = 1   # ids given out so far
-    counts = np.array([len(node_rows)])
+    tree = np.arange(T)
+    ids = np.zeros(T, dtype=np.int64)
+    n_ids = np.ones(T, dtype=np.int64)   # ids each tree gave out so far
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
     for depth in range(params.max_depth + 1):
         n_nodes = len(counts)
         ends = np.cumsum(counts)
-        gn, hn = g[node_rows], h[node_rows]
+        gn, hn = g[node_inst], h[node_inst]
         bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+        # numpy's pairwise sum of each node's own slice fixes the bits
         G = np.array([gn[s:e].sum() for s, e in bounds])
         H = np.array([hn[s:e].sum() for s, e in bounds])
         feature = np.full(n_nodes, -1, dtype=np.int64)
         threshold = np.zeros(n_nodes)
         default_left = np.zeros(n_nodes, dtype=bool)
         left = np.full(n_nodes, -1, dtype=np.int64)
-        levels.append((ids, G, H, feature, threshold, default_left, left))
+        levels.append((tree, ids, G, H, feature, threshold, default_left,
+                       left))
         searched = np.flatnonzero(counts >= 2)
         if depth == params.max_depth or not searched.size:
             break
 
         level_node = np.repeat(np.arange(n_nodes), counts)
-        # rows outside the level's nodes map to the slot past them
-        node_of_row.fill(n_nodes)
-        node_of_row[node_rows] = level_node
-        bin_mask = level_masks[depth][tm.bin_feature]
+        # instances outside the level's nodes map to the slot past them
+        node_of_inst.fill(n_nodes)
+        node_of_inst[node_inst] = level_node
+        bin_masks = level_masks[:, depth][:, tm.bin_feature]
         for i in range(0, len(searched), batch):
             q = searched[i:i + batch]
             cell = np.full(n_nodes + 1, len(q) * n_bins)
             cell[q] = np.arange(len(q)) * n_bins
-            won, f, t, dl = _best_splits(cell[node_of_row][vrow] + vbin, vg,
-                                         vh, counts[q], G[q], H[q], bin_mask,
-                                         tm, params)
+            won, f, t, dl = _best_splits(cell[node_of_inst][vinst] + vbin, vg,
+                                         vh, counts[q], G[q], H[q],
+                                         bin_masks[tree[q]], tm, params)
             q = q[won]
             feature[q], threshold[q], default_left[q] = f, t, dl
         split = feature >= 0
         if not split.any():
             break
 
-        # rows of split nodes go to their default side, then rows that store
-        # the split feature compare its value with the threshold
+        # instances of split nodes go to their default side, then those whose
+        # row stores the split feature compare its value with the threshold
         r = split[level_node]
-        rows_s, node_s = node_rows[r], level_node[r]
-        side[rows_s] = default_left[node_s]
+        inst_s, node_s = node_inst[r], level_node[r]
+        side[inst_s] = default_left[node_s]
         q = np.flatnonzero(split)
-        ranges = [(tm.col_ptr[j], tm.col_ptr[j + 1])
-                  for j in feature[q].tolist()]
-        col_rows = np.concatenate([tm.col_rows[a:b] for a, b in ranges])
-        col_values = np.concatenate([tm.col_values[a:b] for a, b in ranges])
-        col_node = np.repeat(q, [b - a for a, b in ranges])
-        mine = node_of_row[col_rows] == col_node
-        side[col_rows[mine]] = col_values[mine] < threshold[col_node[mine]]
-        go_left = side[rows_s]
+        first = tm.col_ptr[feature[q]]
+        count = tm.col_ptr[feature[q] + 1] - first
+        pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count)
+                                                 + count, count)
+        col_node = np.repeat(q, count)
+        col_inst = tm.col_rows[pos] + tree[col_node] * n
+        mine = node_of_inst[col_inst] == col_node
+        side[col_inst[mine]] = (tm.col_values[pos][mine]
+                                < threshold[col_node[mine]])
+        go_left = side[inst_s]
         n_left = np.bincount(node_s[go_left], minlength=n_nodes)
         # a split that sends every row one way leaves its node a leaf
         split &= (n_left > 0) & (n_left < counts)
         if not split.any():
             break
-        # split nodes in id order take the next free ids for their children,
-        # two each, which numbers the tree breadth-first
-        by_id = np.argsort(ids)
-        q = by_id[split[by_id]]
-        left[q] = n_ids + 2 * np.arange(len(q))
-        n_ids += 2 * len(q)
+        # each tree's split nodes in id order take its next free ids for
+        # their children, two each, which numbers the tree breadth-first
+        q = np.flatnonzero(split)
+        q = q[np.lexsort((ids[q], tree[q]))]
+        per_tree = np.bincount(tree[q], minlength=T)
+        rank = np.arange(len(q)) - np.repeat(np.cumsum(per_tree) - per_tree,
+                                             per_tree)
+        left[q] = n_ids[tree[q]] + 2 * rank
+        n_ids += 2 * per_tree
         ids = np.concatenate([left[split], left[split] + 1])
+        tree = np.concatenate([tree[split], tree[split]])
         keep = split[node_s]
-        rows_s, go_left = rows_s[keep], go_left[keep]
-        node_rows = np.concatenate([rows_s[go_left], rows_s[~go_left]])
+        inst_s, go_left = inst_s[keep], go_left[keep]
+        node_inst = np.concatenate([inst_s[go_left], inst_s[~go_left]])
         counts = np.concatenate([n_left[split], (counts - n_left)[split]])
 
-    ids, G, H, feature, threshold, default_left, left = (
+    tree, ids, G, H, feature, threshold, default_left, left = (
         np.concatenate(arrays) for arrays in zip(*levels))
     # a node whose split was found but sent every row one way is a leaf
     leaf = left < 0
@@ -423,13 +444,30 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
         value = np.clip(value, -params.max_delta_step, params.max_delta_step)
     # a tree that found no structure at all is a no-op: a bare root leaf
     # would only shift the global intercept, which is the base score's job
-    value[~leaf] = 0.0
-    value[0] = 0.0
-    at = np.argsort(ids)   # the node at each id
-    return DecisionTree(feature=np.where(leaf, -1, feature)[at],
-                        threshold=np.where(leaf, 0.0, threshold)[at],
-                        default_left=(default_left & ~leaf)[at],
-                        left=left[at], value=value[at])
+    value[~leaf | (ids == 0)] = 0.0
+    feature = np.where(leaf, -1, feature)
+    threshold = np.where(leaf, 0.0, threshold)
+    default_left &= ~leaf
+    # the nodes of each tree in id order
+    at = np.lexsort((ids, tree))
+    ends = np.cumsum(np.bincount(tree, minlength=T)).tolist()
+    return [DecisionTree(feature=feature[a], threshold=threshold[a],
+                         default_left=default_left[a], left=left[a],
+                         value=value[a])
+            for a in np.split(at, ends[:-1])]
+
+
+def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionTree:
+    """Newton tree over the given training rows (default all, ascending),
+    grown one depth level at a time: `_build_trees` of one tree.
+
+    `data` is a SparseDataset or its `_TrainMatrix`. The column draws come
+    from `rng`."""
+    tm = data if isinstance(data, _TrainMatrix) else _TrainMatrix(data)
+    rows = np.arange(tm.n_rows) if rows is None else rows
+    return _build_trees(np.asarray(g, dtype=float)[None],
+                        np.asarray(h, dtype=float)[None], tm, params, [rng],
+                        [rows])[0]
 
 
 class _Columns:
@@ -603,11 +641,12 @@ class _Forest:
         return out
 
 
-def predict_tree(tree: DecisionTree, data: SparseDataset) -> np.ndarray:
-    """The leaf value each row of `data` reaches in `tree`, all rows one
-    table. Training walks its whole splits, whose CSC the dataset caches, so
-    each table row is filled from its feature's column range."""
-    forest = _Forest([tree])
+def _walk(trees, data: SparseDataset) -> np.ndarray:
+    """(trees, rows) array of the leaf value each row of `data` reaches in
+    each of `trees`, all rows one table. Training walks its whole splits,
+    whose CSC the dataset caches, so each table row is filled from its
+    feature's column range."""
+    forest = _Forest(trees)
     csc = data.to_csc()
     n = data.n_rows
     first = csc.indptr[forest.features]
@@ -617,13 +656,139 @@ def predict_tree(tree: DecisionTree, data: SparseDataset) -> np.ndarray:
     table = np.repeat(forest.fill, n)
     table[np.repeat(np.arange(len(count)) * n, count)
           + csc.indices[pos]] = csc.data[pos]
-    return forest.leaf_values(table, n)[0]
+    return forest.leaf_values(table, n)
+
+
+def predict_tree(tree: DecisionTree, data: SparseDataset) -> np.ndarray:
+    """The leaf value each row of `data` reaches in `tree`."""
+    return _walk([tree], data)[0]
+
+
+def train_folds(data: SparseDataset, folds, params, loss,
+                stop_metric: MetricSpec, *, patience=100, max_rounds=2000,
+                seeds):
+    """Boost one model per fold of `data`, all in lockstep, each until its
+    valid metric stops improving for `patience` rounds.
+
+    Fold k is a pair (train rows, valid rows) of ascending rows of `data`
+    and draws from a generator seeded `seeds[k]`. The logistic loss fits the
+    train rows' binary labels, the quadratic loss their continuous labels.
+    The stopping metric ranks the valid rows' binary labels whatever the
+    loss.
+
+    Each round, one `_build_trees` pass grows the new tree of every fold
+    still running, or each such fold sweeps its gblinear columns, and the
+    round's learners score every row of `data` at once; fold k reads its
+    train and valid rows from its own row of the result. A fold that stops
+    leaves the batch. Each fold's arithmetic and draws are those of the
+    fold boosted alone, so its model and log are too.
+
+    Returns one (model cut at the optimal round, `TrainingLog`) per fold. A
+    cut gbtree model scores the valid rows bit for bit as boosting did at
+    that round.
+    """
+    booster = GBTREE if isinstance(params, TreeHyperParams) else GBLINEAR
+    if loss == LOGISTIC:
+        if data.binary_labels is None:
+            raise TrainingError("logistic loss requires binary labels")
+        y = data.binary_labels.astype(float)
+    elif loss == QUADRATIC:
+        if data.continuous_labels is None:
+            raise TrainingError("quadratic loss requires continuous labels")
+        y = data.continuous_labels.astype(float)
+    else:
+        raise TrainingError(f"unknown loss {loss!r}")
+    if data.binary_labels is None:
+        raise TrainingError("the stopping metric requires the valid split's "
+                            "binary labels")
+    folds = [(np.asarray(tr, dtype=np.int64), np.asarray(va, dtype=np.int64))
+             for tr, va in folds]
+    if any(len(tr) == 0 for tr, _ in folds):
+        raise TrainingError("empty training set")
+
+    K, n = len(folds), data.n_rows
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    base = [float(y[tr].mean()) if loss == QUADRATIC else 0.0
+            for tr, _ in folds]
+    # raw[k] is fold k's raw score of every row
+    raw = np.repeat(np.array(base)[:, None], n, axis=1)
+    if booster == GBTREE:
+        tm = _TrainMatrix(data)
+    else:
+        cols = [_Columns(data.subset(tr)) for tr, _ in folds]
+        # the quadratic loss's hessian is 1 everywhere, so its column sums
+        # never change
+        col_hess = [c.hess_sums(np.ones(len(c.data))) if loss == QUADRATIC
+                    else None for c in cols]
+        cum_w = np.zeros((K, data.n_cols))
+        cum_b = np.zeros(K)
+    lr = params.learning_rate
+
+    def score(k):
+        va = folds[k][1]
+        s = expit(raw[k, va]) if loss == LOGISTIC else raw[k, va]
+        try:
+            return oriented_score(stop_metric, s, data.binary_labels[va])
+        except MetricError as e:
+            raise TrainingError(f"stopping metric failed: {e}") from e
+
+    logs = [[score(k)] for k in range(K)]
+    best = [(log[0], 0) for log in logs]   # (score, round)
+    learners = [[] for _ in range(K)]
+    running = list(range(K))
+    for t in range(1, max_rounds + 1):
+        g, h = grad_hess(loss, y, raw[running])
+        if booster == GBTREE:
+            rows = []
+            for k in running:
+                tr = folds[k][0]
+                if params.subsample < 1.0:
+                    m = max(1, int(round(params.subsample * len(tr))))
+                    tr = tr[np.sort(rngs[k].choice(len(tr), size=m,
+                                                   replace=False))]
+                rows.append(tr)
+            round_learners = _build_trees(g, h, tm, params,
+                                          [rngs[k] for k in running], rows)
+            out = _walk(round_learners, data)
+        else:
+            round_learners = [
+                build_linear_delta(g[i, folds[k][0]], h[i, folds[k][0]],
+                                   cols[k], params, cum_b[k], cum_w[k],
+                                   col_hess[k])
+                for i, k in enumerate(running)]
+            bias = np.array([d.bias for d in round_learners])
+            weights = np.column_stack([d.weights for d in round_learners])
+            # scipy sums each row alone, in stored order, for every column
+            out = bias[:, None] + (data.to_csr() @ weights).T
+            cum_b[running] += lr * bias
+            cum_w[running] += lr * weights.T
+        raw[running] += lr * out
+        for k, learner in zip(running, round_learners):
+            learners[k].append(learner)
+            logs[k].append(score(k))
+            if logs[k][-1] > best[k][0]:
+                best[k] = (logs[k][-1], t)
+        running = [k for k in running if t - best[k][1] < patience]
+        if not running:
+            break
+
+    result = []
+    for k in range(K):
+        kept = learners[k][:best[k][1]]
+        if booster == GBLINEAR and kept:
+            kept = [_summed_delta(kept)]
+        result.append((GbmModel(booster=booster, loss=loss,
+                                base_score=base[k], learning_rate=lr,
+                                learners=kept, n_cols=data.n_cols),
+                       TrainingLog(scores=logs[k], optimal_round=best[k][1])))
+    return result
 
 
 def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
               stop_metric: MetricSpec, *, patience=100, max_rounds=2000,
               seed=0):
-    """Boost until the valid metric stops improving for `patience` rounds.
+    """Boost until the valid metric stops improving for `patience` rounds:
+    `train_folds` of one fold, over the train rows and then the valid rows.
 
     The logistic loss fits the train split's binary labels, the quadratic
     loss its continuous labels. The stopping metric ranks the valid split's
@@ -638,83 +803,32 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
         raise TrainingError("train and valid column counts differ")
     if train.n_rows == 0:
         raise TrainingError("empty training set")
-    booster = GBTREE if isinstance(params, TreeHyperParams) else GBLINEAR
-    if loss == LOGISTIC:
-        if train.binary_labels is None:
-            raise TrainingError("logistic loss requires binary labels")
-        y = train.binary_labels.astype(float)
-        base = 0.0
-    elif loss == QUADRATIC:
-        if train.continuous_labels is None:
-            raise TrainingError("quadratic loss requires continuous labels")
-        y = train.continuous_labels.astype(float)
-        base = float(y.mean())
-    else:
-        raise TrainingError(f"unknown loss {loss!r}")
+    if loss == LOGISTIC and train.binary_labels is None:
+        raise TrainingError("logistic loss requires binary labels")
+    if loss == QUADRATIC and train.continuous_labels is None:
+        raise TrainingError("quadratic loss requires continuous labels")
     if valid.binary_labels is None:
         raise TrainingError("the stopping metric requires the valid split's "
                             "binary labels")
 
-    rng = np.random.default_rng(seed)
-    if booster == GBTREE:
-        tm = _TrainMatrix(train)
-    else:
-        cols = _Columns(train)
-        # the quadratic loss's hessian is 1 everywhere, so its column sums
-        # never change
-        col_hess = (cols.hess_sums(np.ones(len(cols.data)))
-                    if loss == QUADRATIC else None)
-    raw_tr = np.full(train.n_rows, base)
-    raw_va = np.full(valid.n_rows, base)
+    def labels(kind):
+        # labels that no step reads, such as the valid rows' training labels,
+        # are zeros
+        parts = [getattr(d, kind) for d in (train, valid)]
+        return np.concatenate([np.zeros(d.n_rows) if p is None else p
+                               for d, p in zip((train, valid), parts)])
 
-    def score(raw):
-        s = expit(raw) if loss == LOGISTIC else raw
-        try:
-            return oriented_score(stop_metric, s, valid.binary_labels)
-        except MetricError as e:
-            raise TrainingError(f"stopping metric failed: {e}") from e
-
-    log = [score(raw_va)]
-    best_score, best_round = log[0], 0
-    learners = []
-    cum_w = np.zeros(train.n_cols)
-    cum_b = 0.0
-    lr = params.learning_rate
-
-    for t in range(1, max_rounds + 1):
-        g, h = grad_hess(loss, y, raw_tr)
-        if booster == GBTREE:
-            if params.subsample < 1.0:
-                k = max(1, int(round(params.subsample * train.n_rows)))
-                rows = np.sort(rng.choice(train.n_rows, size=k, replace=False))
-            else:
-                rows = None
-            learner = build_tree(g, h, tm, params, rng, rows=rows)
-            out_tr = predict_tree(learner, train)
-            out_va = predict_tree(learner, valid)
-        else:
-            learner = build_linear_delta(g, h, cols, params, cum_b, cum_w,
-                                         col_hess)
-            out_tr = learner.bias + train.to_csr().dot(learner.weights)
-            out_va = learner.bias + valid.to_csr().dot(learner.weights)
-            cum_b += lr * learner.bias
-            cum_w += lr * learner.weights
-        raw_tr = raw_tr + lr * out_tr
-        raw_va = raw_va + lr * out_va
-        learners.append(learner)
-        s_va = score(raw_va)
-        log.append(s_va)
-        if s_va > best_score:
-            best_score, best_round = s_va, t
-        if t - best_round >= patience:
-            break
-
-    kept = learners[:best_round]
-    if booster == GBLINEAR and kept:
-        kept = [_summed_delta(kept)]
-    return (GbmModel(booster=booster, loss=loss, base_score=base,
-                     learning_rate=lr, learners=kept, n_cols=train.n_cols),
-            TrainingLog(scores=log, optimal_round=best_round))
+    both = SparseDataset(
+        train.n_rows + valid.n_rows, train.n_cols,
+        np.concatenate([train.indptr, valid.indptr[1:] + train.indptr[-1]]),
+        np.concatenate([train.indices, valid.indices]),
+        np.concatenate([train.values, valid.values]),
+        continuous_labels=labels("continuous_labels"),
+        binary_labels=labels("binary_labels"))
+    rows = np.arange(both.n_rows)
+    return train_folds(both, [(rows[:train.n_rows], rows[train.n_rows:])],
+                       params, loss, stop_metric, patience=patience,
+                       max_rounds=max_rounds, seeds=[seed])[0]
 
 
 class _Scorer:

@@ -3,10 +3,11 @@
 Everything here but the last sections is written with plain Python loops
 straight from the metric and split-gain definitions, deliberately sharing no
 code (and no vectorized shortcuts) with the package implementation. The last
-five sections keep the package's previous layer-1 builders, which the
+six sections keep the package's previous layer-1 builders, which the
 current ones must match bit for bit, its previous line-by-line SVMLight
-parser and per-token SVMLight writer, its previous `rankdata` AUC-ROC and
-its previous per-model prediction arithmetic. The tie rule for the rank-based
+parser and per-token SVMLight writer, its previous `rankdata` AUC-ROC, its
+previous per-model prediction arithmetic and its previous per-model
+boosting loop. The tie rule for the rank-based
 early-retrieval metrics — a stable shuffle seeded with 902119 before the
 descending sort — is part of the documented metric contract and is
 re-derived here independently.
@@ -21,8 +22,12 @@ from scipy.stats import rankdata
 
 from cbforest.data import (_MAX_INDEX, DataError, SparseDataset, _decode,
                            _fmt)
-from cbforest.gbm import (GBTREE, LOGISTIC, DecisionTree, LinearDelta,
-                          _TrainMatrix)
+from cbforest.gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
+                          DecisionTree, GbmModel, LinearDelta, TrainingError,
+                          TrainingLog, TreeHyperParams, _Columns,
+                          _summed_delta, _TrainMatrix, build_linear_delta,
+                          build_tree, grad_hess, predict_tree)
+from cbforest.metrics import MetricError, MetricSpec, oriented_score
 
 TIE_SEED = 902119
 
@@ -718,3 +723,110 @@ def gbm_prediction_oracle(model, dataset):
             out.append(model.base_score + lr * (bias + dot))
     raw = np.array(out, dtype=float)
     return expit(raw) if model.loss == LOGISTIC else raw
+
+
+# ---------------------------------------------------------------------------
+# The package's previous boosting loop, one model at a time, which the
+# lockstep trainer of K fold models must match bit for bit: trees, logs and
+# the out-of-fold predictions of the cut models.
+
+def per_model_boosting_oracle(train: SparseDataset, valid: SparseDataset,
+                              params, loss, stop_metric: MetricSpec, *,
+                              patience=100, max_rounds=2000, seed=0):
+    """The per-model `train_gbm` that `train_folds` replaced, kept verbatim
+    but for its name: one model boosted alone over its own subsets, each
+    round one `build_tree` over a `_TrainMatrix` of the train split and two
+    `predict_tree` walks, or one gblinear sweep and two CSR products.
+
+    Boost until the valid metric stops improving for `patience` rounds.
+
+    The logistic loss fits the train split's binary labels, the quadratic
+    loss its continuous labels. The stopping metric ranks the valid split's
+    binary labels whatever the loss, so a quadratic-loss caller sets them,
+    as `load_run_dataset` does by binarizing the continuous labels.
+
+    Returns the model cut at the optimal round and the run's `TrainingLog`.
+    A cut gbtree model scores the valid rows bit for bit as boosting did at
+    that round.
+    """
+    if train.n_cols != valid.n_cols:
+        raise TrainingError("train and valid column counts differ")
+    if train.n_rows == 0:
+        raise TrainingError("empty training set")
+    booster = GBTREE if isinstance(params, TreeHyperParams) else GBLINEAR
+    if loss == LOGISTIC:
+        if train.binary_labels is None:
+            raise TrainingError("logistic loss requires binary labels")
+        y = train.binary_labels.astype(float)
+        base = 0.0
+    elif loss == QUADRATIC:
+        if train.continuous_labels is None:
+            raise TrainingError("quadratic loss requires continuous labels")
+        y = train.continuous_labels.astype(float)
+        base = float(y.mean())
+    else:
+        raise TrainingError(f"unknown loss {loss!r}")
+    if valid.binary_labels is None:
+        raise TrainingError("the stopping metric requires the valid split's "
+                            "binary labels")
+
+    rng = np.random.default_rng(seed)
+    if booster == GBTREE:
+        tm = _TrainMatrix(train)
+    else:
+        cols = _Columns(train)
+        # the quadratic loss's hessian is 1 everywhere, so its column sums
+        # never change
+        col_hess = (cols.hess_sums(np.ones(len(cols.data)))
+                    if loss == QUADRATIC else None)
+    raw_tr = np.full(train.n_rows, base)
+    raw_va = np.full(valid.n_rows, base)
+
+    def score(raw):
+        s = expit(raw) if loss == LOGISTIC else raw
+        try:
+            return oriented_score(stop_metric, s, valid.binary_labels)
+        except MetricError as e:
+            raise TrainingError(f"stopping metric failed: {e}") from e
+
+    log = [score(raw_va)]
+    best_score, best_round = log[0], 0
+    learners = []
+    cum_w = np.zeros(train.n_cols)
+    cum_b = 0.0
+    lr = params.learning_rate
+
+    for t in range(1, max_rounds + 1):
+        g, h = grad_hess(loss, y, raw_tr)
+        if booster == GBTREE:
+            if params.subsample < 1.0:
+                k = max(1, int(round(params.subsample * train.n_rows)))
+                rows = np.sort(rng.choice(train.n_rows, size=k, replace=False))
+            else:
+                rows = None
+            learner = build_tree(g, h, tm, params, rng, rows=rows)
+            out_tr = predict_tree(learner, train)
+            out_va = predict_tree(learner, valid)
+        else:
+            learner = build_linear_delta(g, h, cols, params, cum_b, cum_w,
+                                         col_hess)
+            out_tr = learner.bias + train.to_csr().dot(learner.weights)
+            out_va = learner.bias + valid.to_csr().dot(learner.weights)
+            cum_b += lr * learner.bias
+            cum_w += lr * learner.weights
+        raw_tr = raw_tr + lr * out_tr
+        raw_va = raw_va + lr * out_va
+        learners.append(learner)
+        s_va = score(raw_va)
+        log.append(s_va)
+        if s_va > best_score:
+            best_score, best_round = s_va, t
+        if t - best_round >= patience:
+            break
+
+    kept = learners[:best_round]
+    if booster == GBLINEAR and kept:
+        kept = [_summed_delta(kept)]
+    return (GbmModel(booster=booster, loss=loss, base_score=base,
+                     learning_rate=lr, learners=kept, n_cols=train.n_cols),
+            TrainingLog(scores=log, optimal_round=best_round))

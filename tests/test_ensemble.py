@@ -23,6 +23,7 @@ from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
 from cbforest.metrics import MetricSpec, logloss
 from cbforest.persistence import load_archive, save_archive
 
+from _oracles import per_model_boosting_oracle
 from conftest import tiny_config_dict
 
 
@@ -176,6 +177,63 @@ def test_layer1_model_seed_is_kind_position_h_k(dual_layer1):
             assert bundles[tag].models[h][k].loss == loss
             assert np.array_equal(records[tag].oof_columns[va, h],
                                   predict_gbm(model, ds.subset(va)))
+
+
+def test_layer1_matches_per_model_boosting(dual_layer1):
+    """Every base model of both kinds, its log and its out-of-fold column
+    are, bit for bit, those of the model boosted alone over its fold's
+    subsets by the previous per-model loop, seeded from (master_seed,
+    position of its kind, h, k)."""
+    ds, folds, samples, runs = dual_layer1
+    bundles, records = runs[1]
+    for tag, loss in enumerate((LOGISTIC, QUADRATIC)):
+        for h, params in enumerate(samples):
+            for k in range(folds.K):
+                va = folds.valid_rows(k)
+                model, log = per_model_boosting_oracle(
+                    ds.subset(folds.train_rows(k)), ds.subset(va), params,
+                    loss, MetricSpec(kind="auc_roc"), patience=10,
+                    max_rounds=30, seed=derive_seed(7, tag, h, k))
+                assert records[tag].logs[h][k] == log
+                assert (pickle.dumps(bundles[tag].models[h][k])
+                        == pickle.dumps(model))
+                assert (records[tag].oof_columns[va, h].tobytes()
+                        == predict_gbm(model, ds.subset(va)).tobytes())
+
+
+def test_layer1_pool_has_at_most_one_worker_per_task(small_layer1,
+                                                     monkeypatch):
+    """The pool gets one task per (label kind, sample), and no more workers
+    than tasks: two samples of one kind at `workers = 8` open a pool of two.
+    The results do not depend on it."""
+    ds, folds, _, _ = small_layer1
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            sizes.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    samples = sample_hyperparams(2, seed=7)
+    runs = [train_layer1(ds, ["binary"], folds, samples,
+                         MetricSpec(kind="auc_roc"), patience=10,
+                         max_rounds=30, master_seed=7, workers=w)
+            for w in (1, 8)]
+    assert sizes == [2, 2]
+    (_, [serial]), (_, [pooled]) = runs
+    assert serial.logs == pooled.logs
+    assert serial.oof_columns.tobytes() == pooled.oof_columns.tobytes()
 
 
 def test_layer1_pool_results_are_their_six_fields(dual_layer1):

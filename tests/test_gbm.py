@@ -11,9 +11,11 @@ from scipy.special import expit
 from _oracles import (boosted_trees_oracle, breadth_first,
                       column_sweep_oracle, depth_first_tree_oracle,
                       exact_greedy_tree_oracle, flat_tree_walk_oracle,
-                      gbm_prediction_oracle, tree_walk_oracle)
+                      gbm_prediction_oracle, per_model_boosting_oracle,
+                      tree_walk_oracle)
 from cbforest import gbm, persistence
-from cbforest.data import LabelMapping, SparseDataset, binarize, load_svmlight
+from cbforest.data import (LabelMapping, SparseDataset, binarize,
+                           load_svmlight, stratified_kfold)
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearDelta,
                           LinearHyperParams, TrainingError, TreeHyperParams,
@@ -328,15 +330,19 @@ def _tie_case():
     return SparseDataset.from_rows(rows, n_cols=34), g, h, params, None
 
 
+def _assert_same_arrays(tree, ref, what):
+    for name in DecisionTree.ARRAYS:
+        a, b = getattr(tree, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+            f"{what}: {name}"
+
+
 def _assert_same_tree(case, ds, g, h, params, subset):
     rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
     tree = build_tree(g, h, ds, params, rng, rows=subset)
     ref = breadth_first(depth_first_tree_oracle(g, h, ds, params, ref_rng,
                                                 rows=subset))
-    for name in DecisionTree.ARRAYS:
-        a, b = getattr(tree, name), getattr(ref, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
-            f"case {case}: {name}"
+    _assert_same_arrays(tree, ref, f"case {case}")
     assert rng.bit_generator.state == ref_rng.bit_generator.state, case
     return tree
 
@@ -359,6 +365,43 @@ def test_build_tree_matches_depth_first_builder(hist_cells, monkeypatch):
     assert splits > 1000 and wide >= 5
     tree = _assert_same_tree(0, *_tie_case())
     assert 32 in tree.feature.tolist()
+
+
+@pytest.mark.parametrize("hist_cells", [gbm.HIST_CELLS, 40],
+                         ids=["one_batch", "node_batches"])
+def test_build_trees_grows_each_tree_as_built_alone(hist_cells, monkeypatch):
+    """`_build_trees` grows each of its trees as `build_tree` grows it alone
+    over a `_TrainMatrix` of the tree's own rows: the same five arrays bit
+    for bit, its generator left in the same state. Trees of zero gradient
+    stay bare roots beside trees that split, and a feature stored only in
+    some trees' rows changes nothing for the others."""
+    monkeypatch.setattr(gbm, "HIST_CELLS", hist_cells)
+    r = np.random.default_rng(20261021)
+    mixed = 0
+    for case in range(150):
+        ds, _, _, params, _ = _builder_case(r, case)
+        n, T = ds.n_rows, int(r.integers(1, 5))
+        g, h = np.empty((T, n)), np.empty((T, n))
+        rows = []
+        for t in range(T):
+            g[t], h[t] = _gradients(r, n)
+            if r.random() < 0.2:
+                g[t] = 0.0
+            rows.append(np.sort(r.choice(n, size=int(r.integers(1, n + 1)),
+                                         replace=False)))
+        seeds = r.integers(1 << 32, size=T)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        trees = gbm._build_trees(g, h, gbm._TrainMatrix(ds), params, rngs,
+                                 rows)
+        for t, (tree, rng) in enumerate(zip(trees, rngs)):
+            ref_rng = np.random.default_rng(seeds[t])
+            ref = build_tree(g[t, rows[t]], h[t, rows[t]],
+                             ds.subset(rows[t]), params, ref_rng)
+            _assert_same_arrays(tree, ref, f"case {case}, tree {t}")
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        sizes = {len(tree.left) > 1 for tree in trees}
+        mixed += sizes == {True, False}
+    assert mixed >= 10
 
 
 def _assert_breadth_first(tree):
@@ -625,6 +668,113 @@ def test_train_gbm_monotone_training_loss_quadratic():
                            max_rounds=40, seed=0)
     assert len(model.learners) == log.optimal_round > 0
     _assert_prefixes_score(model, ds, raws, QUADRATIC)
+
+
+def _fold_data(r, n=150, p=8):
+    """Count, binary and real columns, a column stored only in rows of fold
+    2, binary and continuous labels, and three stratified folds."""
+    X = np.where(r.random((n, p)) < 0.4,
+                 r.choice([1.0, 2.0, 3.0, -0.5, 0.25], size=(n, p)), 0.0)
+    X[:, 2] = np.round(r.normal(size=n), 1) * (r.random(n) < 0.6)
+    z = X[:, 0] - X[:, 1] + 0.5 * X[:, 2] + r.normal(0, 0.5, n)
+    y = binarize(z, LabelMapping(float(np.quantile(z, 0.7)),
+                                 "greater_is_positive"))
+    folds = stratified_kfold(y, 3, seed=int(r.integers(1000)))
+    X[:, p - 1] = np.where(folds.fold_of_row == 2, r.integers(1, 4, n), 0.0)
+    z = z + X[:, p - 1]
+    return dataset_from_dense(X, binary=y, continuous=z), folds
+
+
+def _assert_same_fit(fit, ref, what):
+    (model, log), (ref_model, ref_log) = fit, ref
+    assert log.scores == ref_log.scores, what
+    assert log.optimal_round == ref_log.optimal_round, what
+    for name in ("booster", "loss", "base_score", "learning_rate", "n_cols"):
+        assert getattr(model, name) == getattr(ref_model, name), (what, name)
+    assert len(model.learners) == len(ref_model.learners), what
+    for i, (a, b) in enumerate(zip(model.learners, ref_model.learners)):
+        if isinstance(a, DecisionTree):
+            _assert_same_arrays(a, b, f"{what}, tree {i}")
+        else:
+            assert a.bias == b.bias, what
+            assert a.weights.tobytes() == b.weights.tobytes(), what
+
+
+FOLD_PARAMS = {
+    "depth3": TreeHyperParams(max_depth=3, learning_rate=0.3),
+    "sampled": TreeHyperParams(max_depth=4, subsample=0.7,
+                               colsample_bytree=0.6, colsample_bylevel=0.5,
+                               learning_rate=0.3),
+    "clipped": TreeHyperParams(max_depth=4, max_delta_step=0.2,
+                               min_child_weight=0.5, learning_rate=0.5),
+    "linear": LinearHyperParams(reg_lambda=0.5, reg_alpha=0.05,
+                                learning_rate=0.5),
+}
+
+
+@pytest.mark.parametrize("hist_cells", [gbm.HIST_CELLS, 40],
+                         ids=["one_batch", "node_batches"])
+@pytest.mark.parametrize("loss", [LOGISTIC, QUADRATIC])
+@pytest.mark.parametrize("name", sorted(FOLD_PARAMS))
+def test_train_folds_matches_per_model_boosting(name, loss, hist_cells,
+                                                monkeypatch):
+    """The K fold models boosted in lockstep are, bit for bit, the models
+    each fold boosts alone over its own subsets: trees or linear deltas,
+    logs, optimal rounds and so out-of-fold predictions. The folds stop at
+    different rounds."""
+    monkeypatch.setattr(gbm, "HIST_CELLS", hist_cells)
+    r = np.random.default_rng(sorted(FOLD_PARAMS).index(name))
+    ds, folds = _fold_data(r)
+    pairs = [(folds.train_rows(k), folds.valid_rows(k)) for k in range(3)]
+    seeds = [11, 12, 13]
+    spec = MetricSpec(kind="auc_roc")
+    fits = gbm.train_folds(ds, pairs, FOLD_PARAMS[name], loss, spec,
+                           patience=4, max_rounds=40, seeds=seeds)
+    for k, ((tr, va), fit) in enumerate(zip(pairs, fits)):
+        ref = per_model_boosting_oracle(ds.subset(tr), ds.subset(va),
+                                        FOLD_PARAMS[name], loss, spec,
+                                        patience=4, max_rounds=40,
+                                        seed=seeds[k])
+        _assert_same_fit(fit, ref, f"fold {k}")
+        assert (predict_gbm(fit[0], ds.subset(va)).tobytes()
+                == predict_gbm(ref[0], ds.subset(va)).tobytes())
+    assert len({len(log.scores) for _, log in fits}) > 1
+
+
+def test_train_folds_bare_root_beside_splits(monkeypatch):
+    """A fold whose train rows all carry one continuous label grows bare
+    roots while the other folds' trees split in the same pass, and stops
+    first; every fold still matches its model boosted alone."""
+    grown = []
+
+    def recorded(*args):
+        trees = build_trees(*args)
+        grown.append([len(t.left) for t in trees])
+        return trees
+
+    build_trees = gbm._build_trees
+    monkeypatch.setattr(gbm, "_build_trees", recorded)
+    r = np.random.default_rng(4)
+    X = np.where(r.random((90, 5)) < 0.5, r.integers(1, 4, (90, 5)), 0.0)
+    fold = np.arange(90) % 3
+    z = np.where(fold == 0, X[:, 0] - X[:, 1] + r.normal(0, 0.3, 90), 1.0)
+    y = (r.random(90) < 0.3).astype(np.int8)
+    y[:6] = [1, 1, 1, 0, 0, 0]
+    ds = dataset_from_dense(X, binary=y, continuous=z)
+    pairs = [(np.flatnonzero(fold != k), np.flatnonzero(fold == k))
+             for k in range(3)]
+    params = TreeHyperParams(max_depth=3, learning_rate=0.3)
+    spec = MetricSpec(kind="auc_roc")
+    fits = gbm.train_folds(ds, pairs, params, QUADRATIC, spec, patience=5,
+                           max_rounds=30, seeds=[1, 2, 3])
+    for k, ((tr, va), fit) in enumerate(zip(pairs, fits)):
+        ref = per_model_boosting_oracle(ds.subset(tr), ds.subset(va), params,
+                                        QUADRATIC, spec, patience=5,
+                                        max_rounds=30, seed=k + 1)
+        _assert_same_fit(fit, ref, f"fold {k}")
+    assert grown[0][0] == 1 and min(grown[0][1:]) > 1
+    assert len(fits[0][1].scores) == 6 < len(fits[1][1].scores)
+    assert len(grown[-1]) < 3
 
 
 def test_train_gbm_gblinear_learns():
