@@ -328,8 +328,9 @@ def _build_trees(g, h, tm: _TrainMatrix, params: TreeHyperParams, rngs,
     and 2k + 2.
     """
     n, T = tm.n_rows, len(rngs)
-    g = np.asarray(g, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
+    # instance T * n is a zero, which each node's sums start from
+    g = np.append(np.asarray(g, dtype=float), 0.0)
+    h = np.append(np.asarray(h, dtype=float), 0.0)
     level_masks = np.array([_column_masks(params, tm.n_cols, rng)
                             for rng in rngs]).reshape(T, params.max_depth,
                                                       tm.n_cols)
@@ -362,12 +363,15 @@ def _build_trees(g, h, tm: _TrainMatrix, params: TreeHyperParams, rngs,
     counts = np.array([len(r) for r in rows], dtype=np.int64)
     for depth in range(params.max_depth + 1):
         n_nodes = len(counts)
-        ends = np.cumsum(counts)
-        gn, hn = g[node_inst], h[node_inst]
-        bounds = list(zip((ends - counts).tolist(), ends.tolist()))
-        # numpy's pairwise sum of each node's own slice fixes the bits
-        G = np.array([gn[s:e].sum() for s, e in bounds])
-        H = np.array([hn[s:e].sum() for s, e in bounds])
+        # G and H of each node are its values' `.sum()`, which is 0.0 plus
+        # numpy's pairwise sum of them. `reduceat` over the values behind the
+        # zero instance adds the same numbers in the same order
+        first = np.cumsum(counts) - counts + np.arange(n_nodes)
+        inst = np.full(len(node_inst) + n_nodes, T * n)
+        inst[np.arange(len(node_inst)) + np.repeat(np.arange(1, n_nodes + 1),
+                                                   counts)] = node_inst
+        G = np.add.reduceat(g[inst], first)
+        H = np.add.reduceat(h[inst], first)
         feature = np.full(n_nodes, -1, dtype=np.int64)
         threshold = np.zeros(n_nodes)
         default_left = np.zeros(n_nodes, dtype=bool)
