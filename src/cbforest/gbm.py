@@ -4,14 +4,22 @@ quadratic losses, early stopping on a pluggable larger-is-better metric.
 Trees use second-order (Newton) boosting with the regularized split gain
     1/2 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma
 and exact enumeration over each feature's distinct present values, done on
-histograms of the binned training values. A tree grows one depth level at a
-time: one pass builds the histograms of all nodes of a level, all their
-candidates are scored together, and its nodes are numbered breadth-first as
-they grow. Rows where the split feature is absent follow a per-split default
-direction learned as the side maximizing gain.
+histograms of the binned training values. Trees grow one depth level at a
+time, several together: one pass builds the histograms of all nodes of a
+level, of every tree, all their candidates are scored together, and each
+tree's nodes are numbered breadth-first as they grow. Rows where the split
+feature is absent follow a per-split default direction learned as the side
+maximizing gain.
 
 A linear learner is one coordinate-descent sweep per round over the columns
-of the training matrix, which are sliced once per `train_gbm`.
+of a model's training rows, which are sliced once per model.
+
+`train_folds` boosts the K fold models of one hyper-parameter sample in
+lockstep over one dataset: each round, one pass grows the new tree of every
+fold still running (or each fold sweeps its columns), and one walk scores
+every row with all of the round's learners. Each fold's arithmetic is that
+of the fold boosted alone, bit for bit. `train_gbm` is its one-fold case
+and `build_tree` the one-tree case of the builder.
 
 A tree is a set of flat node arrays (`DecisionTree`). Prediction scores
 many models at once (`_Scorer`) on a `SparseDataset`. The trees of all of
@@ -191,12 +199,12 @@ HIST_CELLS = 1 << 21
 def _best_splits(cells, vg, vh, counts, G, H, bin_mask, tm, params):
     """Best split of each node of a batch.
 
-    `cells` maps each stored value of the tree's rows to a histogram cell,
+    `cells` maps each stored value of the trees' rows to a histogram cell,
     `q * n_bins + bin` for a value of a row in batch node q and a cell past
     the batch's for any other value; `vg` and `vh` are the gradient and
     hessian of the value's row. Batch node q has `counts[q]` rows with sums
-    `G[q]` and `H[q]`. Each feature allowed by `bin_mask` (over bins) and
-    present in a node offers these candidates: present-right/absent-left at
+    `G[q]` and `H[q]`. Each feature allowed by `bin_mask[q]` (over bins) and
+    present in node q offers these candidates: present-right/absent-left at
     its smallest present value, if some node rows lack the feature; and at
     each midpoint between adjacent present values, absent rows on the left
     and, if some rows lack it, on the right.
@@ -332,8 +340,7 @@ def _build_trees(g, h, tm: _TrainMatrix, params: TreeHyperParams, rngs,
     g = np.append(np.asarray(g, dtype=float), 0.0)
     h = np.append(np.asarray(h, dtype=float), 0.0)
     level_masks = np.array([_column_masks(params, tm.n_cols, rng)
-                            for rng in rngs]).reshape(T, params.max_depth,
-                                                      tm.n_cols)
+                            for rng in rngs])
     n_bins = len(tm.bin_feature)
     batch = max(1, HIST_CELLS // max(1, n_bins))
     node_inst = np.concatenate([t * n + np.asarray(r, dtype=np.int64)
@@ -366,12 +373,12 @@ def _build_trees(g, h, tm: _TrainMatrix, params: TreeHyperParams, rngs,
         # G and H of each node are its values' `.sum()`, which is 0.0 plus
         # numpy's pairwise sum of them. `reduceat` over the values behind the
         # zero instance adds the same numbers in the same order
-        first = np.cumsum(counts) - counts + np.arange(n_nodes)
+        zero_at = np.cumsum(counts) - counts + np.arange(n_nodes)
         inst = np.full(len(node_inst) + n_nodes, T * n)
         inst[np.arange(len(node_inst)) + np.repeat(np.arange(1, n_nodes + 1),
                                                    counts)] = node_inst
-        G = np.add.reduceat(g[inst], first)
-        H = np.add.reduceat(h[inst], first)
+        G = np.add.reduceat(g[inst], zero_at)
+        H = np.add.reduceat(h[inst], zero_at)
         feature = np.full(n_nodes, -1, dtype=np.int64)
         threshold = np.zeros(n_nodes)
         default_left = np.zeros(n_nodes, dtype=bool)
