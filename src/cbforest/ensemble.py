@@ -101,29 +101,37 @@ def train_layer1(dataset: SparseDataset, kinds, folds: FoldAssignment,
     returns their `Layer1Bundle`s and `Layer1Record`s, in `kinds` order.
 
     Model (kind, h, k) fits `samples[h]` with fold k held out. The K fold
-    models of one (kind, h) are one task, boosted together by `train_folds`.
-    All tasks are one list in (kind, h) order, run in one process pool of at
-    most one worker per task when `workers > 1`. Each model derives its seed
-    from (master_seed, position of its kind in `kinds`, h, k), so results
-    are independent of worker count and schedule.
+    models of one (kind, h) train together by `train_folds`, as one task or,
+    when there are fewer (kind, h) than `workers`, as up to
+    ceil(workers / (kinds x H)) tasks of contiguous folds. All tasks are one
+    list in (kind, h, k) order, run in one process pool of at most one
+    worker per task when `workers > 1`. Each model derives its seed from
+    (master_seed, position of its kind in `kinds`, h, k) and its bits do not
+    depend on the folds it trains beside, so results are independent of
+    worker count and schedule.
     """
     K, H = folds.K, len(samples)
     pairs = [(folds.train_rows(k), folds.valid_rows(k)) for k in range(K)]
-    tasks = [(dataset, pairs, params,
+    n_groups = min(K, -(-workers // max(1, len(kinds) * H)))
+    groups = [ks.tolist() for ks in np.array_split(np.arange(K), n_groups)]
+    tasks = [(dataset, [pairs[k] for k in ks], params,
               LOGISTIC if kind == "binary" else QUADRATIC, stop_metric,
               patience, max_rounds,
-              [derive_seed(master_seed, tag, h, k) for k in range(K)])
+              [derive_seed(master_seed, tag, h, k) for k in ks])
              for tag, kind in enumerate(kinds)
-             for h, params in enumerate(samples)]
+             for h, params in enumerate(samples)
+             for ks in groups]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            rows = list(pool.map(_fit_layer1_task, tasks, chunksize=1))
+            fits = list(pool.map(_fit_layer1_task, tasks, chunksize=1))
     else:
-        rows = [_fit_layer1_task(t) for t in tasks]
-    # rows come in task order, one per (kind, h), K folds each
+        fits = [_fit_layer1_task(t) for t in tasks]
+    fits = [fit for task in fits for fit in task]
+    # fits come in (kind, h, k) order
     bundles, records = [], []
     for tag, kind in enumerate(kinds):
-        grid = rows[tag * H:(tag + 1) * H]
+        grid = [fits[(tag * H + h) * K:(tag * H + h + 1) * K]
+                for h in range(H)]
         oof = np.empty((dataset.n_rows, H))
         for h, row in enumerate(grid):
             for k, (_, _, preds) in enumerate(row):

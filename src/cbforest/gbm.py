@@ -675,6 +675,25 @@ def predict_tree(tree: DecisionTree, data: SparseDataset) -> np.ndarray:
     return _walk([tree], data)[0]
 
 
+def _fit_labels(loss, fit: SparseDataset, scored: SparseDataset):
+    """The labels of `fit` that `loss` fits; raises unless they and the
+    binary labels of `scored`, which the stopping metric ranks, exist."""
+    if loss == LOGISTIC:
+        y = fit.binary_labels
+        if y is None:
+            raise TrainingError("logistic loss requires binary labels")
+    elif loss == QUADRATIC:
+        y = fit.continuous_labels
+        if y is None:
+            raise TrainingError("quadratic loss requires continuous labels")
+    else:
+        raise TrainingError(f"unknown loss {loss!r}")
+    if scored.binary_labels is None:
+        raise TrainingError("the stopping metric requires the valid split's "
+                            "binary labels")
+    return y
+
+
 def train_folds(data: SparseDataset, folds, params, loss,
                 stop_metric: MetricSpec, *, patience=100, max_rounds=2000,
                 seeds):
@@ -699,23 +718,11 @@ def train_folds(data: SparseDataset, folds, params, loss,
     that round.
     """
     booster = GBTREE if isinstance(params, TreeHyperParams) else GBLINEAR
-    if loss == LOGISTIC:
-        if data.binary_labels is None:
-            raise TrainingError("logistic loss requires binary labels")
-        y = data.binary_labels.astype(float)
-    elif loss == QUADRATIC:
-        if data.continuous_labels is None:
-            raise TrainingError("quadratic loss requires continuous labels")
-        y = data.continuous_labels.astype(float)
-    else:
-        raise TrainingError(f"unknown loss {loss!r}")
-    if data.binary_labels is None:
-        raise TrainingError("the stopping metric requires the valid split's "
-                            "binary labels")
     folds = [(np.asarray(tr, dtype=np.int64), np.asarray(va, dtype=np.int64))
              for tr, va in folds]
     if any(len(tr) == 0 for tr, _ in folds):
         raise TrainingError("empty training set")
+    y = _fit_labels(loss, data, data).astype(float)
 
     K, n = len(folds), data.n_rows
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -812,18 +819,12 @@ def train_gbm(train: SparseDataset, valid: SparseDataset, params, loss,
     """
     if train.n_cols != valid.n_cols:
         raise TrainingError("train and valid column counts differ")
-    if train.n_rows == 0:
-        raise TrainingError("empty training set")
-    if loss == LOGISTIC and train.binary_labels is None:
-        raise TrainingError("logistic loss requires binary labels")
-    if loss == QUADRATIC and train.continuous_labels is None:
-        raise TrainingError("quadratic loss requires continuous labels")
-    if valid.binary_labels is None:
-        raise TrainingError("the stopping metric requires the valid split's "
-                            "binary labels")
+    if train.n_rows > 0:
+        # checked here, where the valid split's labels are still its own
+        _fit_labels(loss, train, valid)
 
     def labels(kind):
-        # labels that no step reads, such as the valid rows' training labels,
+        # labels that no step reads, such as the valid rows' fitted labels,
         # are zeros
         parts = [getattr(d, kind) for d in (train, valid)]
         return np.concatenate([np.zeros(d.n_rows) if p is None else p

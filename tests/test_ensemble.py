@@ -203,15 +203,18 @@ def test_layer1_matches_per_model_boosting(dual_layer1):
 
 def test_layer1_pool_has_at_most_one_worker_per_task(small_layer1,
                                                      monkeypatch):
-    """The pool gets one task per (label kind, sample), and no more workers
-    than tasks: two samples of one kind at `workers = 8` open a pool of two.
-    The results do not depend on it."""
+    """The pool gets one task per (label kind, sample), whose folds split
+    into contiguous groups only when there are more workers than such
+    tasks, and no more workers than tasks. Two samples of one kind and
+    K = 2: two tasks of two folds at `workers = 2`; four of one fold at 3,
+    in a pool of 3, and at 8, in a pool of 4. The results do not depend on
+    it."""
     ds, folds, _, _ = small_layer1
-    sizes = []
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -221,7 +224,8 @@ def test_layer1_pool_has_at_most_one_worker_per_task(small_layer1,
 
         def map(self, fn, tasks, chunksize=1):
             tasks = list(tasks)
-            sizes.append(len(tasks))
+            # each task's folds, as (train rows, valid rows) pairs
+            pools[-1].append([len(t[1]) for t in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
@@ -229,11 +233,14 @@ def test_layer1_pool_has_at_most_one_worker_per_task(small_layer1,
     runs = [train_layer1(ds, ["binary"], folds, samples,
                          MetricSpec(kind="auc_roc"), patience=10,
                          max_rounds=30, master_seed=7, workers=w)
-            for w in (1, 8)]
-    assert sizes == [2, 2]
-    (_, [serial]), (_, [pooled]) = runs
-    assert serial.logs == pooled.logs
-    assert serial.oof_columns.tobytes() == pooled.oof_columns.tobytes()
+            for w in (1, 2, 3, 8)]
+    assert pools == [[2, [2, 2]], [3, [1, 1, 1, 1]], [4, [1, 1, 1, 1]]]
+    (serial_bundle, [serial]) = runs[0]
+    for bundles, [pooled] in runs[1:]:
+        assert serial.logs == pooled.logs
+        assert serial.oof_columns.tobytes() == pooled.oof_columns.tobytes()
+        assert (pickle.dumps(serial_bundle[0].models)
+                == pickle.dumps(bundles[0].models))
 
 
 def test_layer1_pool_results_are_their_six_fields(dual_layer1):

@@ -815,6 +815,41 @@ def test_train_gbm_requires_binary_labels_on_the_valid_split():
                       seed=0)
 
 
+def test_train_gbm_raises_what_per_model_boosting_raised():
+    """Whatever labels the train and valid splits lack, and with an empty
+    train split or an unknown loss, `train_gbm` raises the error the
+    per-model loop raised, and `train_folds` of the same rows as one
+    dataset raises it too."""
+    import itertools
+
+    def split(n_rows, kinds):
+        return dataset_from_dense(
+            [[1.0], [0.0]], binary=[1, 0] if "b" in kinds else None,
+            continuous=[1.0, 0.0] if "c" in kinds else None
+        ).subset(np.arange(n_rows))
+
+    def error(fn, *args, **kw):
+        try:
+            fn(*args, TreeHyperParams(), loss, MetricSpec(kind="auc_roc"),
+               patience=2, max_rounds=3, **kw)
+        except TrainingError as e:
+            return str(e)
+
+    seen = set()
+    for loss in (LOGISTIC, QUADRATIC, "poisson"):
+        for n, tk, vk in itertools.product((0, 2), ("", "b", "c", "bc"),
+                                           ("", "b", "c", "bc")):
+            train, valid = split(n, tk), split(2, vk)
+            want = error(per_model_boosting_oracle, train, valid, seed=0)
+            assert error(train_gbm, train, valid, seed=0) == want
+            if tk == vk:
+                rows = np.arange(2)
+                assert error(gbm.train_folds, split(2, tk),
+                             [(rows[:n], rows)], seeds=[0]) == want
+            seen.add(want)
+    assert len(seen) == 6   # five errors and none
+
+
 def test_train_gbm_column_mismatch():
     a = dataset_from_dense([[1.0]], binary=[1])
     b = dataset_from_dense([[1.0, 0.0]], binary=[1])
