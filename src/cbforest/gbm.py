@@ -12,14 +12,15 @@ feature is absent follow a per-split default direction learned as the side
 maximizing gain.
 
 A linear learner is one coordinate-descent sweep per round over the columns
-of a model's training rows, which are sliced once per model.
+of a model's training rows.
 
 `train_folds` boosts the K fold models of one hyper-parameter sample in
 lockstep over one dataset: each round, one pass grows the new tree of every
-fold still running (or each fold sweeps its columns), and one walk scores
-every row with all of the round's learners. Each fold's arithmetic is that
-of the fold boosted alone, bit for bit. `train_gbm` is its one-fold case
-and `build_tree` the one-tree case of the builder.
+fold still running (or one column loop sweeps all their linear models), and
+one walk scores every row with all of the round's learners. Each fold's
+arithmetic is that of the fold boosted alone, bit for bit. `train_gbm` is
+its one-fold case, `build_tree` the one-tree case of the builder and
+`build_linear_delta` the one-fold case of the sweep.
 
 A tree is a set of flat node arrays (`DecisionTree`). Prediction scores
 many models at once (`_Scorer`) on a `SparseDataset`. The trees of all of
@@ -481,77 +482,134 @@ def build_tree(g, h, data, params: TreeHyperParams, rng, rows=None) -> DecisionT
                         [rows])[0]
 
 
-class _Columns:
-    """Training view for gblinear: the stored values column by column.
+class _LinearColumns:
+    """Training view for gblinear: the stored values of several folds' train
+    rows of one dataset, column by column and, within a column, fold by fold.
 
-    `columns` lists (j, lo, hi, rows, values) for each column j that stores
-    values, `lo:hi` being its range in the CSC arrays `indices` and `data`.
+    Fold i's segment of a column holds the column's values whose rows are
+    among `trains[i]`, in row order: what the column of fold i's own subset
+    would store. `inst` gives each value's row as `i * n_rows + row`, its
+    place in a (folds, rows) array, and `values` the value. `columns` lists
+    (c, j, lo, hi, segments) for each column j that stores a value in some
+    fold's rows, c counting them and `lo:hi` being its range of `inst` and
+    `values`. `segments` holds (i, a, b, inst, values, p) for each fold i
+    whose segment is not empty: its range `a:b` within the column's, that
+    range's `inst` and `values`, and p, the segment's number in
+    column-then-fold order.
     """
 
-    def __init__(self, dataset: SparseDataset):
+    def __init__(self, dataset: SparseDataset, trains):
         csc = dataset.to_csc()
-        self.n_rows = dataset.n_rows
+        R, n = len(trains), dataset.n_rows
+        self.trains = trains
         self.n_cols = dataset.n_cols
-        self.indices = csc.indices
-        self.data = csc.data
-        ptr = csc.indptr.tolist()
-        self.columns = [(j, lo, hi, csc.indices[lo:hi], csc.data[lo:hi])
-                        for j, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:]))
-                        if hi > lo]
+        member = np.zeros((R, n), dtype=bool)
+        for i, tr in enumerate(trains):
+            member[i, tr] = True
+        col = np.repeat(np.arange(dataset.n_cols), np.diff(csc.indptr))
+        fold, pos = np.divmod(np.flatnonzero(member[:, csc.indices]),
+                              len(csc.indices))
+        key = col[pos] * R + fold
+        order = np.argsort(key, kind="stable")
+        key, fold, pos = key[order], fold[order], pos[order]
+        self.inst = fold * n + csc.indices[pos]
+        self.values = csc.data[pos]
+        is_first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=is_first[1:])
+        first = np.flatnonzero(is_first)
+        # a segment's hessian sum is a reduceat over its values behind a
+        # zero, index len(key) of the values with a 0.0 appended
+        self.zero_at = first + np.arange(len(first))
+        self.behind_zero = np.full(len(key) + len(first), len(key))
+        self.behind_zero[np.arange(len(key)) + np.cumsum(is_first)] = (
+            np.arange(len(key)))
+        seg_col, seg_fold = np.divmod(key[first], R)
+        col_first = np.flatnonzero(np.diff(seg_col, prepend=-1))
+        self.stored = seg_col[col_first]
+        at = np.append(first, len(key)).tolist()
+        seg_fold = seg_fold.tolist()
+        spans = np.append(col_first, len(first)).tolist()
+        self.columns = []
+        for c, (j, p0, p1) in enumerate(zip(self.stored.tolist(), spans[:-1],
+                                            spans[1:])):
+            lo = at[p0]
+            self.columns.append((c, j, lo, at[p1], [
+                (seg_fold[p], at[p] - lo, at[p + 1] - lo,
+                 self.inst[at[p]:at[p + 1]], self.values[at[p]:at[p + 1]], p)
+                for p in range(p0, p1)]))
 
-    def hess_sums(self, hv):
-        """Each listed column's sum of h * v * v over its stored values v,
-        given `hv`, the hessian h of each stored value's row."""
-        hvv = (hv * self.data) * self.data
-        return [float(hvv[lo:hi].sum()) for _, lo, hi, _, _ in self.columns]
 
-
-def build_linear_delta(g, h, data, params: LinearHyperParams,
-                       current_bias=0.0, current_weights=None,
-                       col_hess=None) -> LinearDelta:
-    """One coordinate-descent sweep on the second-order loss approximation.
+def _sweep_linear(cols: _LinearColumns, g, h, params: LinearHyperParams,
+                  bias, weights):
+    """One coordinate-descent sweep on the second-order loss approximation
+    for every fold of `cols` at once: fold i fits row i of the (folds, rows)
+    arrays `g` and `h` over its train rows, from its current `bias[i]` and
+    `weights[i]`. Returns the (folds,) bias deltas and the (folds, n_cols)
+    weight deltas.
 
     Each coordinate solves for the new total weight u:
         u = soft(H_j * w_j - G_j, alpha) / (H_j + lambda)
-    with the running raw-score delta kept consistent within the sweep. The
-    bias uses lambda_bias and carries no L1 term. `data` is a SparseDataset
-    or its `_Columns`. `col_hess`, if given, is the columns' `hess_sums` for
-    this `h`, which a caller whose hessian never changes computes once.
+    with each fold's running raw-score delta kept consistent within the
+    sweep. The bias uses lambda_bias and carries no L1 term. Folds share the
+    column loop but nothing of their arithmetic: each fold's G_j is one dot
+    product of its own segment, each H_j a sum of its own segment, so each
+    fold gets the bits of its sweep alone.
     """
-    cols = data if isinstance(data, _Columns) else _Columns(data)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if current_weights is None:
-        current_weights = np.zeros(cols.n_cols)
-    weights = np.asarray(current_weights, dtype=float).tolist()
-    s = np.zeros(cols.n_rows)  # raw-score delta accumulated during the sweep
+    R, n = g.shape
+    # s[i * n + row]: fold i's raw-score delta accumulated during the sweep
+    s = np.zeros(R * n)
+    db = np.zeros(R)
+    for i, tr in enumerate(cols.trains):
+        Gb, Hb = g[i, tr].sum(), h[i, tr].sum()
+        denom = Hb + params.reg_lambda_bias
+        new_bias = (Hb * bias[i] - Gb) / denom if denom > 0 else bias[i]
+        db[i] = new_bias - bias[i]
+        if db[i] != 0.0:
+            s[i * n:(i + 1) * n] += db[i]
 
-    Gb, Hb = g.sum(), h.sum()
-    denom = Hb + params.reg_lambda_bias
-    new_bias = (Hb * current_bias - Gb) / denom if denom > 0 else current_bias
-    db = new_bias - current_bias
-    if db != 0.0:
-        s += db
-
-    # everything but the running delta s is fixed for the sweep
-    gv, hv = g[cols.indices], h[cols.indices]
-    if col_hess is None:
-        col_hess = cols.hess_sums(hv)
+    # everything but the running deltas s is fixed for the sweep
+    gv, hv = g.take(cols.inst), h.take(cols.inst)
+    hvv = (hv * cols.values) * cols.values
+    # each segment's `.sum()`: 0.0 plus the pairwise sum of its values
+    col_hess = np.add.reduceat(np.append(hvv, 0.0)[cols.behind_zero],
+                               cols.zero_at).tolist()
     lam, alpha = params.reg_lambda, params.reg_alpha
-    dw = np.zeros(cols.n_cols)
-    for (j, lo, hi, cr, cv), Hj in zip(cols.columns, col_hess):
-        Gj = float(cv @ (gv[lo:hi] + hv[lo:hi] * s[cr]))
-        denom = Hj + lam
-        if denom <= 0:
-            continue
-        w = weights[j]
-        z = Hj * w - Gj
-        u = math.copysign(max(abs(z) - alpha, 0.0), z) / denom
-        d = u - w
-        if d != 0.0:
-            s[cr] += d * cv
-            dw[j] = d
-    return LinearDelta(bias=float(db), weights=dw)
+    w_stored = weights[:, cols.stored].tolist()
+    dw = np.zeros((R, cols.n_cols))
+    for c, j, lo, hi, segments in cols.columns:
+        x = gv[lo:hi] + hv[lo:hi] * s.take(cols.inst[lo:hi])
+        for i, a, b, cr, cv, p in segments:
+            # one BLAS dot of the fold's own segment, as its sweep alone
+            # takes it; `dot` calls the same ddot as `@`, with less overhead
+            Gj = float(cv.dot(x[a:b]))
+            Hj = col_hess[p]
+            denom = Hj + lam
+            if denom <= 0:
+                continue
+            w = w_stored[i][c]
+            z = Hj * w - Gj
+            u = math.copysign(max(abs(z) - alpha, 0.0), z) / denom
+            d = u - w
+            # as in the fold's sweep alone, a zero step, +0.0 or -0.0,
+            # writes nothing: its weight delta stays +0.0
+            if d != 0.0:
+                s[cr] += d * cv
+                dw[i, j] = d
+    return db, dw
+
+
+def build_linear_delta(g, h, data: SparseDataset, params: LinearHyperParams,
+                       current_bias=0.0, current_weights=None) -> LinearDelta:
+    """One coordinate-descent sweep over all rows of `data` from the current
+    bias and weights: `_sweep_linear` of one fold."""
+    if current_weights is None:
+        current_weights = np.zeros(data.n_cols)
+    cols = _LinearColumns(data, [np.arange(data.n_rows)])
+    db, dw = _sweep_linear(cols, np.asarray(g, dtype=float)[None],
+                           np.asarray(h, dtype=float)[None], params,
+                           [current_bias],
+                           np.asarray(current_weights, dtype=float)[None])
+    return LinearDelta(bias=float(db[0]), weights=dw[0])
 
 
 def _summed_delta(deltas) -> LinearDelta:
@@ -707,11 +765,13 @@ def train_folds(data: SparseDataset, folds, params, loss,
     loss.
 
     Each round, one `_build_trees` pass grows the new tree of every fold
-    still running, or each such fold sweeps its gblinear columns, and the
-    round's learners score every row of `data` at once; fold k reads its
-    train and valid rows from its own row of the result. A fold that stops
-    leaves the batch. Each fold's arithmetic and draws are those of the
-    fold boosted alone, so its model and log are too.
+    still running, or one `_sweep_linear` pass over the columns of their
+    train rows, laid out once and again whenever a fold stops, steps their
+    gblinear weights; the round's learners score every row of `data` at
+    once, and fold k reads its train and valid rows from its own row of the
+    result. A fold that stops leaves the batch. Each fold's arithmetic and
+    draws are those of the fold boosted alone, so its model and log are
+    too.
 
     Returns one (model cut at the optimal round, `TrainingLog`) per fold. A
     cut gbtree model scores the valid rows bit for bit as boosting did at
@@ -733,11 +793,8 @@ def train_folds(data: SparseDataset, folds, params, loss,
     if booster == GBTREE:
         tm = _TrainMatrix(data)
     else:
-        cols = [_Columns(data.subset(tr)) for tr, _ in folds]
-        # the quadratic loss's hessian is 1 everywhere, so its column sums
-        # never change
-        col_hess = [c.hess_sums(np.ones(len(c.data))) if loss == QUADRATIC
-                    else None for c in cols]
+        # the running folds' columns, laid out again when a fold stops
+        cols = _LinearColumns(data, [tr for tr, _ in folds])
         cum_w = np.zeros((K, data.n_cols))
         cum_b = np.zeros(K)
     lr = params.learning_rate
@@ -769,17 +826,16 @@ def train_folds(data: SparseDataset, folds, params, loss,
                                           [rngs[k] for k in running], rows)
             out = _walk(round_learners, data)
         else:
-            round_learners = [
-                build_linear_delta(g[i, folds[k][0]], h[i, folds[k][0]],
-                                   cols[k], params, cum_b[k], cum_w[k],
-                                   col_hess[k])
-                for i, k in enumerate(running)]
-            bias = np.array([d.bias for d in round_learners])
-            weights = np.column_stack([d.weights for d in round_learners])
+            if len(cols.trains) != len(running):
+                cols = _LinearColumns(data, [folds[k][0] for k in running])
+            bias, dw = _sweep_linear(cols, g, h, params, cum_b[running],
+                                     cum_w[running])
+            round_learners = [LinearDelta(bias=float(b), weights=w)
+                              for b, w in zip(bias, dw)]
             # scipy sums each row alone, in stored order, for every column
-            out = bias[:, None] + (data.to_csr() @ weights).T
+            out = bias[:, None] + (data.to_csr() @ dw.T).T
             cum_b[running] += lr * bias
-            cum_w[running] += lr * weights.T
+            cum_w[running] += lr * dw
         raw[running] += lr * out
         for k, learner in zip(running, round_learners):
             learners[k].append(learner)

@@ -3,14 +3,14 @@
 Everything here but the last sections is written with plain Python loops
 straight from the metric and split-gain definitions, deliberately sharing no
 code (and no vectorized shortcuts) with the package implementation. The last
-six sections keep the package's previous layer-1 builders, which the
-current ones must match bit for bit, its previous line-by-line SVMLight
-parser and per-token SVMLight writer, its previous `rankdata` AUC-ROC, its
-previous per-model prediction arithmetic and its previous per-model
-boosting loop. The tie rule for the rank-based
-early-retrieval metrics — a stable shuffle seeded with 902119 before the
-descending sort — is part of the documented metric contract and is
-re-derived here independently.
+seven sections keep the package's previous layer-1 builders and its
+previous per-fold gblinear sweep, which the current ones must match bit for
+bit, its previous line-by-line SVMLight parser and per-token SVMLight
+writer, its previous `rankdata` AUC-ROC, its previous per-model prediction
+arithmetic and its previous per-model boosting loop. The tie rule for the
+rank-based early-retrieval metrics — a stable shuffle seeded with 902119
+before the descending sort — is part of the documented metric contract and
+is re-derived here independently.
 """
 import io
 import math
@@ -23,9 +23,9 @@ from scipy.stats import rankdata
 from cbforest.data import (_MAX_INDEX, DataError, SparseDataset, _decode,
                            _fmt)
 from cbforest.gbm import (GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
-                          DecisionTree, GbmModel, LinearDelta, TrainingError,
-                          TrainingLog, TreeHyperParams, _Columns,
-                          _summed_delta, _TrainMatrix, build_linear_delta,
+                          DecisionTree, GbmModel, LinearDelta,
+                          LinearHyperParams, TrainingError, TrainingLog,
+                          TreeHyperParams, _summed_delta, _TrainMatrix,
                           build_tree, grad_hess, predict_tree)
 from cbforest.metrics import MetricError, MetricSpec, oriented_score
 
@@ -541,8 +541,8 @@ def breadth_first(tree):
 
 def column_sweep_oracle(g, h, data, params, current_bias=0.0,
                         current_weights=None):
-    """The gblinear sweep `build_linear_delta` replaced, kept verbatim but for
-    its name: one coordinate-descent sweep on the second-order loss
+    """The gblinear sweep `per_fold_sweep_oracle` replaced, kept verbatim but
+    for its name: one coordinate-descent sweep on the second-order loss
     approximation.
 
     Each coordinate solves for the new total weight u:
@@ -584,6 +584,84 @@ def column_sweep_oracle(g, h, data, params, current_bias=0.0,
             dw[j] = d
     return LinearDelta(bias=float(db), weights=dw)
 
+
+
+# ---------------------------------------------------------------------------
+# The package's previous per-fold gblinear sweep, which the lockstep sweep of
+# all folds must match bit for bit: `_Columns` of one fold's subset, and the
+# sweep over its columns kept verbatim but for its name.
+
+class _Columns:
+    """Training view for gblinear: the stored values column by column.
+
+    `columns` lists (j, lo, hi, rows, values) for each column j that stores
+    values, `lo:hi` being its range in the CSC arrays `indices` and `data`.
+    """
+
+    def __init__(self, dataset: SparseDataset):
+        csc = dataset.to_csc()
+        self.n_rows = dataset.n_rows
+        self.n_cols = dataset.n_cols
+        self.indices = csc.indices
+        self.data = csc.data
+        ptr = csc.indptr.tolist()
+        self.columns = [(j, lo, hi, csc.indices[lo:hi], csc.data[lo:hi])
+                        for j, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:]))
+                        if hi > lo]
+
+    def hess_sums(self, hv):
+        """Each listed column's sum of h * v * v over its stored values v,
+        given `hv`, the hessian h of each stored value's row."""
+        hvv = (hv * self.data) * self.data
+        return [float(hvv[lo:hi].sum()) for _, lo, hi, _, _ in self.columns]
+
+
+def per_fold_sweep_oracle(g, h, data, params: LinearHyperParams,
+                          current_bias=0.0, current_weights=None,
+                          col_hess=None) -> LinearDelta:
+    """One coordinate-descent sweep on the second-order loss approximation.
+
+    Each coordinate solves for the new total weight u:
+        u = soft(H_j * w_j - G_j, alpha) / (H_j + lambda)
+    with the running raw-score delta kept consistent within the sweep. The
+    bias uses lambda_bias and carries no L1 term. `data` is a SparseDataset
+    or its `_Columns`. `col_hess`, if given, is the columns' `hess_sums` for
+    this `h`, which a caller whose hessian never changes computes once.
+    """
+    cols = data if isinstance(data, _Columns) else _Columns(data)
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if current_weights is None:
+        current_weights = np.zeros(cols.n_cols)
+    weights = np.asarray(current_weights, dtype=float).tolist()
+    s = np.zeros(cols.n_rows)  # raw-score delta accumulated during the sweep
+
+    Gb, Hb = g.sum(), h.sum()
+    denom = Hb + params.reg_lambda_bias
+    new_bias = (Hb * current_bias - Gb) / denom if denom > 0 else current_bias
+    db = new_bias - current_bias
+    if db != 0.0:
+        s += db
+
+    # everything but the running delta s is fixed for the sweep
+    gv, hv = g[cols.indices], h[cols.indices]
+    if col_hess is None:
+        col_hess = cols.hess_sums(hv)
+    lam, alpha = params.reg_lambda, params.reg_alpha
+    dw = np.zeros(cols.n_cols)
+    for (j, lo, hi, cr, cv), Hj in zip(cols.columns, col_hess):
+        Gj = float(cv @ (gv[lo:hi] + hv[lo:hi] * s[cr]))
+        denom = Hj + lam
+        if denom <= 0:
+            continue
+        w = weights[j]
+        z = Hj * w - Gj
+        u = math.copysign(max(abs(z) - alpha, 0.0), z) / denom
+        d = u - w
+        if d != 0.0:
+            s[cr] += d * cv
+            dw[j] = d
+    return LinearDelta(bias=float(db), weights=dw)
 
 # ---------------------------------------------------------------------------
 # The package's previous SVMLight parser. It reads a file line by line and
@@ -808,8 +886,8 @@ def per_model_boosting_oracle(train: SparseDataset, valid: SparseDataset,
             out_tr = predict_tree(learner, train)
             out_va = predict_tree(learner, valid)
         else:
-            learner = build_linear_delta(g, h, cols, params, cum_b, cum_w,
-                                         col_hess)
+            learner = per_fold_sweep_oracle(g, h, cols, params, cum_b, cum_w,
+                                            col_hess)
             out_tr = learner.bias + train.to_csr().dot(learner.weights)
             out_va = learner.bias + valid.to_csr().dot(learner.weights)
             cum_b += lr * learner.bias

@@ -2,24 +2,27 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from _oracles import (boosted_trees_oracle, breadth_first,
+from _oracles import (_Columns, boosted_trees_oracle, breadth_first,
                       column_sweep_oracle, depth_first_tree_oracle,
                       exact_greedy_tree_oracle, flat_tree_walk_oracle,
-                      gbm_prediction_oracle, per_model_boosting_oracle,
-                      tree_walk_oracle)
+                      gbm_prediction_oracle, per_fold_sweep_oracle,
+                      per_model_boosting_oracle, tree_walk_oracle)
 from cbforest import gbm, persistence
 from cbforest.data import (LabelMapping, SparseDataset, binarize,
                            load_svmlight, stratified_kfold)
 from cbforest.gbm import (BLOCK_ROWS, GBLINEAR, GBTREE, LOGISTIC, QUADRATIC,
                           DecisionTree, GbmModel, LinearDelta,
                           LinearHyperParams, TrainingError, TreeHyperParams,
-                          _Columns, build_linear_delta, build_tree, grad_hess,
+                          build_linear_delta, build_tree, grad_hess,
                           predict_gbm, predict_tree, train_gbm)
 from cbforest.metrics import MetricSpec, logloss, oriented_score
 
@@ -455,24 +458,136 @@ def _linear_case(r, case):
 
 
 def test_linear_delta_matches_column_sweep():
-    """The hoisted sweep returns the previous sweep's weights and bias bit
-    for bit, on both losses, with the quadratic loss's fixed column hessian
-    sums computed once as train_gbm does."""
+    """The sweep returns the previous sweeps' weights and bias bit for bit,
+    on both losses: the per-column sweep's and the per-fold sweep's, the
+    latter with the quadratic loss's fixed column hessian sums computed once
+    as its trainer did."""
     r = np.random.default_rng(777)
     zeroed = 0
     for case in range(300):
         ds, loss, g, h, params, bias, weights = _linear_case(r, case)
-        cols = _Columns(ds)
-        col_hess = (cols.hess_sums(np.ones(len(cols.data)))
-                    if loss == QUADRATIC else None)
-        d = build_linear_delta(g, h, cols, params, bias, weights, col_hess)
-        ref = column_sweep_oracle(g, h, ds, params, bias, weights)
-        assert d.weights.tobytes() == ref.weights.tobytes(), f"case {case}"
-        assert d.bias == ref.bias, f"case {case}"
+        d = build_linear_delta(g, h, ds, params, bias, weights)
+        col_hess = None
+        if loss == QUADRATIC:
+            col_hess = _Columns(ds).hess_sums(np.ones(ds.values.size))
+        for ref in (column_sweep_oracle(g, h, ds, params, bias, weights),
+                    per_fold_sweep_oracle(g, h, ds, params, bias, weights,
+                                          col_hess)):
+            assert d.weights.tobytes() == ref.weights.tobytes(), f"case {case}"
+            assert d.bias == ref.bias, f"case {case}"
         # a column L1 left at zero although its gradient is not zero
         zeroed += params.reg_alpha > 0 and weights is None and bool(
             ((d.weights == 0) & (ds.to_csc().getnnz(axis=0) > 0)).any())
     assert zeroed >= 10
+
+
+def _lockstep_case(r, case, n_max):
+    """A random dataset with negative values and stored 0.0 and -0.0, its
+    last column stored only in rows that fold 0 alone trains on, K train
+    row sets, the running folds, and their gradients, hessians and current
+    biases and weights. Fold 0, when it runs, may have a zero gradient and
+    model, so that its every step is zero."""
+    n, p, K = (int(r.integers(2, n_max)), int(r.integers(2, 14)),
+               int(r.integers(1, 5)))
+    member = r.random((K, n)) < 0.6
+    member[:, 0] = np.arange(K) == 0
+    member[np.arange(K), r.integers(0, n, K)] = True
+    X = np.where(r.random((n, p)) < 0.5,
+                 r.choice([1.0, 2.0, -0.5, 0.3, 1e-3], size=(n, p))
+                 * r.normal(size=(n, p)), 0.0)
+    X[:, r.random(p) < 0.15] = 0.0     # columns that store nothing
+    only_fold_0 = member[0] & ~member[1:].any(axis=0)
+    X[:, p - 1] = np.where(only_fold_0, r.normal(size=n), 0.0)
+    stored = X != 0
+    stored[r.random((n, p)) < 0.05] = True
+    stored[:, p - 1] = only_fold_0
+    values = np.where(r.random((n, p)) < 0.5, 0.0, -0.0)
+    values[X != 0] = X[X != 0]
+    ds = SparseDataset(n, p, np.append(0, np.cumsum(stored.sum(axis=1))),
+                       np.nonzero(stored)[1], values[stored])
+    loss = LOGISTIC if case % 2 else QUADRATIC
+    y = (r.random(n) < 0.4).astype(float)
+    running = np.flatnonzero(r.random(K) < 0.7)
+    running = running if running.size else np.array([K - 1])
+    g, h = grad_hess(loss, y, r.normal(size=(len(running), n)))
+    params = LinearHyperParams(
+        reg_lambda=float(r.choice([0.0, 0.5, 2.0])),
+        reg_alpha=float(r.choice([0.0, 0.05, 1.0])),
+        reg_lambda_bias=float(r.choice([0.0, 1.0])))
+    bias = np.where(r.random(len(running)) < 0.5, r.normal(size=len(running)),
+                    0.0)
+    weights = np.where(r.random((len(running), p)) < 0.3,
+                       r.normal(size=(len(running), p)), 0.0)
+    if running[0] == 0 and r.random() < 0.5:
+        g[0], bias[0], weights[0] = 0.0, 0.0, 0.0
+    trains = [np.flatnonzero(member[k]) for k in running]
+    return ds, g, h, params, bias, weights, trains
+
+
+def _assert_lockstep_matches_each_fold(seed, cases, n_max):
+    """`_sweep_linear` of random running folds gives each fold the bits of
+    `column_sweep_oracle` of that fold alone, over its own subset. Returns
+    counts of what the cases covered: columns stored in one fold's rows
+    alone, columns where one fold stepped and another did not, and columns
+    that L1 left at zero although their gradient was not zero."""
+    r = np.random.default_rng(seed)
+    lone = mixed = zeroed = 0
+    for case in range(cases):
+        ds, g, h, params, bias, weights, trains = _lockstep_case(r, case,
+                                                                 n_max)
+        db, dw = gbm._sweep_linear(gbm._LinearColumns(ds, trains), g, h,
+                                   params, bias, weights)
+        has = np.array([ds.subset(tr).to_csc().getnnz(axis=0) > 0
+                        for tr in trains])
+        for i, tr in enumerate(trains):
+            ref = column_sweep_oracle(g[i, tr], h[i, tr], ds.subset(tr),
+                                      params, bias[i], weights[i])
+            assert dw[i].tobytes() == ref.weights.tobytes(), (case, i)
+            assert db[i] == ref.bias, (case, i)
+            zeroed += int((params.reg_alpha > 0 and g[i].any()) * (
+                has[i] & (dw[i] == 0) & (weights[i] == 0)).sum())
+        lone += int(has[:, -1].sum() == 1 < len(trains))
+        mixed += int(((has & (dw == 0)).any(axis=0)
+                      & (has & (dw != 0)).any(axis=0)).sum())
+    return lone, mixed, zeroed
+
+
+def test_lockstep_sweep_matches_each_fold_alone():
+    """One sweep over all running folds gives each fold, bit for bit, the
+    weights and bias of the per-fold sweep of that fold alone: with folds
+    stopped, a column stored in one fold's rows alone, a fold that does not
+    step beside folds that do, columns that L1 zeroes, negative values and
+    stored 0.0 and -0.0, on both losses."""
+    lone, mixed, zeroed = _assert_lockstep_matches_each_fold(5, 300, 80)
+    assert lone >= 50 and mixed >= 100 and zeroed >= 100
+
+
+# The check that runs under each forced OpenBLAS kernel, in its own process
+BLAS_CHECK = """
+import json
+from _blas import openblas_core
+from test_gbm import _assert_lockstep_matches_each_fold
+# segments of up to a few hundred values reach every kernel's vector loop
+_assert_lockstep_matches_each_fold(8, 40, 600)
+print(json.dumps({"core": openblas_core()}))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_lockstep_sweep_bits_do_not_depend_on_the_blas_kernel(core):
+    """Under another CPU's OpenBLAS kernel, whose dot products sum in their
+    own order, the lockstep sweep still gives each fold the bits of its
+    sweep alone: batching the folds adds no kernel-dependent order. The
+    variable acts only on the process it is set for."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)]
+                           + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHECK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    picked = json.loads(proc.stdout.splitlines()[-1])["core"]
+    assert picked in (core, "unknown"), picked
 
 
 def test_build_tree_rows_without_values():
